@@ -11,6 +11,7 @@ from .measurement_recovery import (
     MeasurementModel,
     OrderPlan,
     RecoverySession,
+    TermDesign,
     averaged_estimate,
     measure,
     plain_estimate,

@@ -116,6 +116,7 @@ _SCALAR_KEYS = {
 }
 _LIST_KEYS = {"x0_grid", "orders", "grid", "rate_eps", "rate_delta"}
 _BOOL_KEYS = {"noise"}
+_SYMBOL_FIELDS = {"order", "coeff", "h_minus", "h_plus"}
 
 
 def _parse_float_list(text: str) -> tuple:
@@ -153,8 +154,8 @@ def parse_config(text: str) -> ExperimentConfig:
                 values["_symbol_count"] = int(val)
             elif key.startswith("symbol_"):
                 parts = key.split("_", 2)
-                if len(parts) != 3:
-                    raise ConfigError(f"cli_io: line {lineno}: bad symbol key {key!r}")
+                if len(parts) != 3 or parts[2] not in _SYMBOL_FIELDS:
+                    raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
                 idx = int(parts[1])
                 symbol_raw.setdefault(idx, {})[parts[2]] = val
             else:
@@ -177,10 +178,12 @@ def parse_config(text: str) -> ExperimentConfig:
             TermSpec(
                 order=float(entry["order"]),
                 coeff=entry["coeff"],
-                h_minus=float(entry.get("h", entry.get("h_minus", 1.0))),
+                h_minus=float(entry.get("h_minus", 1.0)),
                 h_plus=float(entry.get("h_plus", 1.0)),
             )
         )
+    if values.get("workers", 1) < 1:
+        raise ConfigError("cli_io: workers must be >= 1")
     values["terms"] = tuple(terms)
     values["lambda_overrides"] = tuple(sorted(lambdas.items()))
     try:
@@ -760,6 +763,8 @@ def main(argv=None) -> int:
     if args.trials is not None:
         overrides["trials"] = args.trials
     if args.workers is not None:
+        if args.workers < 1:
+            parser.error("--workers must be >= 1")
         overrides["workers"] = args.workers
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)

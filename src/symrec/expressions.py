@@ -212,11 +212,6 @@ class CoeffExpr:
     def is_constant(self) -> bool:
         return not _depends_on_x(self._ast)
 
-    def constant_value(self) -> float:
-        if not self.is_constant:
-            raise ExpressionError(f"{self.text!r} depends on x")
-        return float(_eval(self._ast, 0.0))
-
 
 def parse_coeff(text: str) -> CoeffExpr:
     expr = CoeffExpr(text.strip())

@@ -25,7 +25,7 @@ from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_path
-from .rng import child_seed
+from .rng import child_seed, rng_for, standard_complex_normal
 from .symbols import HomogeneousTerm, Observable, packet_quadratic_form
 from .wave_packets import PacketProfile, WavePacketFamily
 
@@ -157,27 +157,101 @@ def average_grid(N: float, n_nodes: int) -> np.ndarray:
     return N + (np.arange(n_nodes) + 0.5) * (N / n_nodes)
 
 
+class TermDesign:
+    """The estimator of one term at one scale, shared by every recipe.
+
+    Plain mode measures at the single node N, averaged mode at the midpoint
+    grid on [N, 2N]; the weights N^(-lam m) / K rescale and average.  The
+    signal is (f_t|P f_t) - sum_k (f_t|Q_k f_t) over the nodes, and the
+    noise one joint path from ``kernel`` (None when the noise is off).
+    A single path combines as sum w (s + n); a batch of trials as
+    sum w s plus (L z) @ w.
+    """
+
+    def __init__(
+        self,
+        family: WavePacketFamily,
+        beta: float,
+        m: float,
+        mode: str,
+        N: float,
+        n_nodes: int | None = None,
+        noise: bool = True,
+    ):
+        N = float(N)
+        if mode == "plain":
+            nodes = np.array([N])
+        else:
+            k = n_nodes or adaptive_average_nodes(N, family.lam)
+            if k < 2:
+                raise ConfigError("measurement_recovery: averaged mode needs >= 2 nodes")
+            nodes = average_grid(N, k)
+        self.family = family
+        self.nodes = nodes
+        self.weights = nodes ** (-family.lam * m) / nodes.size
+        self.kernel = build_kernel(family, nodes, beta) if noise else None
+
+    @classmethod
+    def for_term(
+        cls,
+        model: MeasurementModel,
+        plan: OrderPlan,
+        j: int,
+        N: float,
+        n_nodes: int | None = None,
+        noise: bool = True,
+        x0: float | None = None,
+    ) -> "TermDesign":
+        return cls(
+            model.family_for(plan.lam(j), x0), model.beta, plan.m_list[j - 1],
+            plan.mode(j), N, n_nodes, noise,
+        )
+
+    def form(self, P, x0: float | None = None) -> np.ndarray:
+        """(f_t|P f_t) over the nodes, with the packets moved to x0."""
+        return packet_quadratic_form(self.family, self.nodes, P, x0)
+
+    def subtract(self, signal: np.ndarray, terms, x0: float | None = None) -> np.ndarray:
+        """signal - sum_k (f_t|Q_k f_t), subtracting in the order given."""
+        for term in terms:
+            signal = signal - self.form(term, x0)
+        return signal
+
+    def signal(self, observable: Observable, j: int, x0: float | None = None) -> np.ndarray:
+        """The oracle-subtracted signal of term j."""
+        return self.subtract(self.form(observable, x0), observable.terms[: j - 1], x0)
+
+    def noise_path(self, seed: int) -> np.ndarray:
+        """One joint draw over the nodes; zeros when the noise is off."""
+        if self.kernel is None:
+            return np.zeros(self.nodes.size, dtype=complex)
+        return sample_path(self.kernel, seed).values
+
+    def estimate(self, values: np.ndarray) -> complex:
+        """sum_t w_t values_t for one path of signal plus noise."""
+        return complex(np.sum(self.weights * values))
+
+    def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
+        """(L z) @ w for each trial, z keyed by (master_seed, trial, *key)."""
+        z = np.empty((trials, self.nodes.size), dtype=complex)
+        for trial in range(trials):
+            z[trial] = standard_complex_normal(
+                rng_for(master_seed, trial, *key), self.nodes.size
+            )
+        return self.kernel.apply_factor(z) @ self.weights
+
+
 def measure(
     model: MeasurementModel,
     t: float,
     lam: float,
     j: int,
     noise_value: complex = 0.0,
-    subtract_terms=None,
     x0: float | None = None,
 ) -> complex:
-    """One measurement of P_j = P - sum_{k<j} Q_k at packet scale t.
-
-    ``subtract_terms`` supplies the Q_k symbols; by default the oracle
-    terms of the model observable are used.
-    """
-    family = model.family_for(lam, x0)
-    if subtract_terms is None:
-        subtract_terms = model.observable.terms[: j - 1]
-    value = packet_quadratic_form(family, [t], model.observable)[0]
-    for term in subtract_terms:
-        value -= packet_quadratic_form(family, [t], term)[0]
-    return complex(value + noise_value)
+    """One measurement of P_j = P - sum_{k<j} Q_k at packet scale t."""
+    design = TermDesign(model.family_for(lam, x0), model.beta, 0.0, "plain", t, noise=False)
+    return complex(design.signal(model.observable, j)[0] + noise_value)
 
 
 def _require_mode(plan: OrderPlan, j: int, expected: str, op: str) -> None:
@@ -188,6 +262,12 @@ def _require_mode(plan: OrderPlan, j: int, expected: str, op: str) -> None:
             f"measurement_recovery: {op}: term {j} is {plan.mode(j)}-mode, "
             f"not {expected} (j_beta={plan.j_beta}, k_beta={plan.k_beta})"
         )
+
+
+def _single_estimate(model, plan, j, N, n_nodes, seed, noise, x0, tag) -> complex:
+    design = TermDesign.for_term(model, plan, j, N, n_nodes, noise, x0)
+    signal = design.signal(model.observable, j)
+    return design.estimate(signal + design.noise_path(child_seed(seed, tag, j)))
 
 
 def plain_estimate(
@@ -201,14 +281,7 @@ def plain_estimate(
 ) -> complex:
     """Single-packet estimator for a plain-mode term."""
     _require_mode(plan, j, "plain", "plain_estimate")
-    lam = plan.lam(j)
-    m_j = plan.m_list[j - 1]
-    noise_value = 0.0 + 0.0j
-    if noise:
-        kernel = build_kernel(model.family_for(lam, x0), [N], model.beta)
-        noise_value = sample_path(kernel, child_seed(seed, "plain", j)).values[0]
-    raw = measure(model, N, lam, j, noise_value, x0=x0)
-    return complex(N ** (-lam * m_j) * raw)
+    return _single_estimate(model, plan, j, N, None, seed, noise, x0, "plain")
 
 
 def averaged_estimate(
@@ -223,23 +296,7 @@ def averaged_estimate(
 ) -> complex:
     """Ergodic-averaged estimator for an averaged-mode term."""
     _require_mode(plan, j, "averaged", "averaged_estimate")
-    lam = plan.lam(j)
-    m_j = plan.m_list[j - 1]
-    if n_nodes is None:
-        n_nodes = adaptive_average_nodes(N, lam)
-    if n_nodes < 2:
-        raise ConfigError("measurement_recovery: averaged mode needs >= 2 nodes")
-    nodes = average_grid(N, n_nodes)
-    family = model.family_for(lam, x0)
-    signal = packet_quadratic_form(family, nodes, model.observable)
-    for term in model.observable.terms[: j - 1]:
-        signal = signal - packet_quadratic_form(family, nodes, term)
-    values = signal
-    if noise:
-        kernel = build_kernel(family, nodes, model.beta)
-        values = values + sample_path(kernel, child_seed(seed, "avg", j)).values
-    weights = nodes ** (-lam * m_j) / n_nodes
-    return complex(np.sum(weights * values))
+    return _single_estimate(model, plan, j, N, n_nodes, seed, noise, x0, "avg")
 
 
 # ---------------------------------------------------------------------------
@@ -329,68 +386,42 @@ class RecoverySession:
         self.N = float(N)
         self.subtract_mode = subtract_mode
         self.alert_threshold = float(alert_threshold)
-        self.noise = noise
 
-        self.nodes = {}
-        self.weights = {}
-        self.kernels = {}
-        self.signal_p = {}
-        self.signal_q = {}
+        # Per (term, grid point): the form (f_t|P f_t), which self-subtraction
+        # starts from, and the oracle-subtracted signal.
+        self.designs = {}
+        self.forms = {}
+        self.oracle_signals = {}
         for j in range(1, plan.k_beta + 1):
-            lam = plan.lam(j)
-            m_j = plan.m_list[j - 1]
-            if plan.mode(j) == "plain":
-                nodes = np.array([self.N])
-            else:
-                k = n_nodes if n_nodes is not None else adaptive_average_nodes(self.N, lam)
-                nodes = average_grid(self.N, k)
-            self.nodes[j] = nodes
-            self.weights[j] = nodes ** (-lam * m_j) / nodes.size
-            if noise:
-                self.kernels[j] = build_kernel(
-                    model.family_for(lam), nodes, model.beta
-                )
+            design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
+            self.designs[j] = design
             for i, x0 in enumerate(self.x0_grid):
-                family = model.family_for(lam, x0)
-                self.signal_p[(j, i)] = packet_quadratic_form(
-                    family, nodes, model.observable
+                form = design.form(model.observable, x0)
+                self.forms[(j, i)] = form
+                self.oracle_signals[(j, i)] = design.subtract(
+                    form, model.observable.terms[: j - 1], x0
                 )
-                for l in range(1, j):
-                    self.signal_q[(j, i, l)] = packet_quadratic_form(
-                        family, nodes, model.observable.terms[l - 1]
-                    )
-
-    def _noise_values(self, seed: int, j: int, i: int) -> np.ndarray:
-        if not self.noise:
-            return np.zeros(self.nodes[j].size, dtype=complex)
-        path_seed = child_seed(seed, "recover", j, i)
-        return sample_path(self.kernels[j], path_seed).values
 
     def run_seed(self, seed: int) -> EstimatorReport:
         report = EstimatorReport(self.plan, [])
         modes = ("oracle", "self") if self.subtract_mode == "both" else (self.subtract_mode,)
         noise_cache = {
-            (j, i): self._noise_values(seed, j, i)
-            for j in range(1, self.plan.k_beta + 1)
+            (j, i): design.noise_path(child_seed(seed, "recover", j, i))
+            for j, design in self.designs.items()
             for i in range(self.x0_grid.size)
         }
 
         for subtract in modes:
             recovered_terms = []
-            for j in range(1, self.plan.k_beta + 1):
-                lam = self.plan.lam(j)
+            for j, design in self.designs.items():
                 estimates = np.empty(self.x0_grid.size, dtype=complex)
                 for i, x0 in enumerate(self.x0_grid):
-                    signal = self.signal_p[(j, i)].copy()
                     if subtract == "oracle":
-                        for l in range(1, j):
-                            signal -= self.signal_q[(j, i, l)]
+                        signal = self.oracle_signals[(j, i)]
                     else:
-                        family = self.model.family_for(lam, x0)
-                        for term in recovered_terms:
-                            signal -= packet_quadratic_form(family, self.nodes[j], term)
+                        signal = design.subtract(self.forms[(j, i)], recovered_terms, x0)
                     values = signal + noise_cache[(j, i)]
-                    estimates[i] = np.sum(self.weights[j] * values)
+                    estimates[i] = design.estimate(values)
                     truth = float(self.model.truth(j, x0).real)
                     err = float(abs(estimates[i] - truth))
                     report.rows.append(
@@ -400,7 +431,7 @@ class RecoverySession:
                             xi0=self.model.xi0,
                             mode=self.plan.mode(j),
                             subtract=subtract,
-                            lam=lam,
+                            lam=self.plan.lam(j),
                             scale=self.N,
                             estimate=complex(estimates[i]),
                             truth=truth,
@@ -411,8 +442,8 @@ class RecoverySession:
                     if err > self.alert_threshold:
                         report.alerts.append((subtract, j, float(x0), err))
                     report.trajectories[(subtract, j, float(x0))] = (
-                        self.nodes[j],
-                        self.weights[j] * values * self.nodes[j].size,
+                        design.nodes,
+                        design.weights * values * design.nodes.size,
                     )
                 if subtract == "self":
                     # Extend by homogeneity on the measured side of the sphere;

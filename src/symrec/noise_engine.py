@@ -78,7 +78,6 @@ class NoiseKernel:
     beta: float
     offsets: tuple
     bands: tuple
-    node_norms_sq: np.ndarray   # ||f_t||_beta^2 per node
     _factor: tuple = field(default=None, repr=False)
 
     @property
@@ -206,25 +205,11 @@ def build_kernel(
     weight = JapaneseBracketWeight(beta)
     col_weights = weight(xi_cols) * spacing
 
-    gram = (mat.conj().multiply(col_weights)) @ mat.T
-    gram = gram.toarray() if gram.shape[0] <= _DENSE_LIMIT else gram.tocsr()
+    gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
+    gram_r = 0.5 * (gram + gram.getH()).real
+    offsets, bands = _upper_bands(gram_r.multiply(gram_r).tocoo())
 
-    if isinstance(gram, np.ndarray):
-        gram_r = 0.5 * (gram.real + gram.real.T)
-        cov = gram_r * gram_r
-        offsets, bands = _dense_to_bands(cov)
-    else:
-        gram_r = 0.5 * (gram + gram.getH()).real
-        cov = gram_r.multiply(gram_r).todia()
-        offsets, bands = _dia_to_bands(cov)
-
-    kernel = NoiseKernel(
-        nodes=nodes,
-        beta=float(beta),
-        offsets=offsets,
-        bands=bands,
-        node_norms_sq=np.zeros(0),
-    )
+    kernel = NoiseKernel(nodes=nodes, beta=float(beta), offsets=offsets, bands=bands)
     diag = kernel.diagonal
     if np.any(diag <= 0.0):
         raise NumericalError("noise_engine: kernel diagonal must be positive")
@@ -236,37 +221,26 @@ def build_kernel(
                 f"(found {band.min():.3e})"
             )
     kernel.bands = tuple(np.clip(b, 0.0, None) for b in kernel.bands)
-    kernel.node_norms_sq = np.sqrt(kernel.diagonal)
     return kernel
 
 
-def _dense_to_bands(cov: np.ndarray) -> tuple[tuple, tuple]:
-    n = cov.shape[0]
-    offsets, bands = [], []
-    for off in range(n):
-        i = np.arange(n - off)
-        band = cov[i, i + off]
-        if off == 0 or np.any(band != 0.0):
-            offsets.append(off)
-            bands.append(np.ascontiguousarray(band, dtype=float))
-    return tuple(offsets), tuple(bands)
+def _upper_bands(cov: scipy.sparse.coo_matrix) -> tuple[tuple, tuple]:
+    """Main and nonzero upper diagonals: bands[k][i] = cov[i, i + offsets[k]].
 
-
-def _dia_to_bands(cov: scipy.sparse.dia_matrix) -> tuple[tuple, tuple]:
+    Read straight from the COO entries; ``todia`` would build the lower
+    diagonals too and warns once a kernel has more than 100 of them.
+    """
     n = cov.shape[0]
-    offsets, bands = [0], [np.zeros(n)]
-    for off, row in zip(cov.offsets, cov.data):
-        if off < 0:
-            continue
-        # dia storage: data[k, j] = A[j - off, j], so A[i, i+off] = row[i+off]
-        band = np.ascontiguousarray(row[off:n].real, dtype=float)
-        if off == 0:
-            bands[0] = band
-        elif np.any(band != 0.0):
-            offsets.append(int(off))
-            bands.append(band)
-    order = np.argsort(offsets)
-    return tuple(int(offsets[i]) for i in order), tuple(bands[i] for i in order)
+    upper = (cov.col >= cov.row) & (cov.data != 0.0)
+    rows = cov.row[upper]
+    offs = cov.col[upper] - rows
+    offsets = np.union1d(0, offs)
+    table = np.zeros((offsets.size, n))
+    table[np.searchsorted(offsets, offs), rows] = cov.data[upper]
+    return (
+        tuple(int(off) for off in offsets),
+        tuple(table[k, : n - off] for k, off in enumerate(offsets)),
+    )
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> NoisePath:

@@ -26,16 +26,10 @@ import numpy as np
 from scipy.stats import linregress
 
 from .errors import ConfigError, NumericalError
-from .measurement_recovery import (
-    MeasurementModel,
-    OrderPlan,
-    adaptive_average_nodes,
-    average_grid,
-)
+from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import build_kernel, sample_path
 from .rng import child_seed, rng_for, standard_complex_normal
 from .spectral_core import JapaneseBracketWeight
-from .symbols import packet_quadratic_form
 from .wave_packets import WavePacketFamily
 
 
@@ -153,7 +147,6 @@ def variance_scaling_experiment(
     grid,
     trials: int,
     master_seed: int = 0,
-    resolution: float | None = None,
 ) -> VarianceScalingResult:
     """Empirical variance of the rescaled noise versus t (plain) or T
     (averaged), with the exact kernel value and, for the averaged target,
@@ -193,19 +186,12 @@ def variance_scaling_experiment(
         expected = -2.0 * lam * (m - 2.0 * beta)
     else:
         for gi, T in enumerate(grid):
-            n_nodes = adaptive_average_nodes(T, lam, resolution) if resolution else \
-                adaptive_average_nodes(T, lam)
-            nodes = average_grid(T, n_nodes)
-            kernel = build_kernel(family_template, nodes, beta)
-            w = nodes ** (-lam * m) / n_nodes
-            kernel_var[gi] = kernel.quad_form(w)
+            design = TermDesign(family_template, beta, m, "averaged", T)
+            kernel_var[gi] = design.kernel.quad_form(design.weights)
             continuum[gi] = continuum_average_variance(family_template, beta, m, T)
-            z = np.empty((trials, n_nodes), dtype=complex)
-            for trial in range(trials):
-                rng = rng_for(master_seed, trial, "avg-variance", gi)
-                z[trial] = standard_complex_normal(rng, n_nodes)
-            values = kernel.apply_factor(z) @ w
-            empirical[gi] = complex_variance(values)
+            empirical[gi] = complex_variance(
+                design.noise_batch(trials, master_seed, "avg-variance", gi)
+            )
         expected = 2.0 * lam * (2.0 * beta - 0.5 - m) + 1.0
 
     regression = SlopeRegression.fit(np.log(grid), np.log(empirical))
@@ -278,31 +264,18 @@ def nonconvergence_experiment(
 
     family = model.family_for(lam)
     truth = model.truth(j).real
-    subtract = model.observable.terms[: j - 1]
 
     p_hat = np.empty(grid.size)
     half = np.empty(grid.size)
     sigma_sq = np.empty(grid.size)
     det = np.empty(grid.size)
     for gi, g in enumerate(grid):
-        if mode == "plain":
-            nodes = np.array([g])
-        else:
-            nodes = average_grid(g, adaptive_average_nodes(g, lam))
-        w = nodes ** (-lam * m_j) / nodes.size
-        signal = packet_quadratic_form(family, nodes, model.observable)
-        for term in subtract:
-            signal = signal - packet_quadratic_form(family, nodes, term)
-        det[gi] = abs(np.sum(w * signal) - truth)
-        kernel = build_kernel(family, nodes, model.beta)
-        sigma_sq[gi] = kernel.quad_form(w)
-
-        z = np.empty((trials, nodes.size), dtype=complex)
-        for trial in range(trials):
-            rng = rng_for(master_seed, trial, "nonconv", gi)
-            z[trial] = standard_complex_normal(rng, nodes.size)
-        noise = kernel.apply_factor(z) @ w
-        deviations = np.abs(np.sum(w * signal) - truth + noise)
+        design = TermDesign(family, model.beta, m_j, mode, g)
+        base = design.estimate(design.signal(model.observable, j))
+        det[gi] = abs(base - truth)
+        sigma_sq[gi] = design.kernel.quad_form(design.weights)
+        noise = design.noise_batch(trials, master_seed, "nonconv", gi)
+        deviations = np.abs(base - truth + noise)
         successes = int(np.count_nonzero(deviations > threshold))
         center, hw = wilson_interval(successes, trials)
         p_hat[gi] = center
@@ -353,29 +326,13 @@ def _estimator_samples(
     master_seed: int,
     purpose: str,
     noise: bool = True,
-    n_nodes: int | None = None,
 ) -> np.ndarray:
     """Trials of the term-j estimator at scale N (oracle subtraction)."""
-    lam = plan.lam(j)
-    m_j = plan.m_list[j - 1]
-    if plan.mode(j) == "plain":
-        nodes = np.array([float(N)])
-    else:
-        nodes = average_grid(N, n_nodes or adaptive_average_nodes(N, lam))
-    family = model.family_for(lam)
-    w = nodes ** (-lam * m_j) / nodes.size
-    signal = packet_quadratic_form(family, nodes, model.observable)
-    for term in model.observable.terms[: j - 1]:
-        signal = signal - packet_quadratic_form(family, nodes, term)
-    base = complex(np.sum(w * signal))
+    design = TermDesign.for_term(model, plan, j, N, noise=noise)
+    base = design.estimate(design.signal(model.observable, j))
     if not noise:
         return np.full(trials, base, dtype=complex)
-    kernel = build_kernel(family, nodes, model.beta)
-    z = np.empty((trials, nodes.size), dtype=complex)
-    for trial in range(trials):
-        rng = rng_for(master_seed, trial, purpose)
-        z[trial] = standard_complex_normal(rng, nodes.size)
-    return base + kernel.apply_factor(z) @ w
+    return base + design.noise_batch(trials, master_seed, purpose)
 
 
 def rate_certificate_experiment(
@@ -513,30 +470,21 @@ def trajectory_as_convergence_check(
             )
         theta = 0.5 * rate
 
-    family = model.family_for(lam)
-    blocks = []
-    for N in n_sequence:
-        if plan.mode(j) == "plain":
-            blocks.append(np.array([float(N)]))
-        else:
-            blocks.append(average_grid(N, adaptive_average_nodes(N, lam)))
-    all_nodes = np.unique(np.concatenate(blocks))
+    designs = [TermDesign.for_term(model, plan, j, N, noise=False) for N in n_sequence]
+    all_nodes = np.unique(np.concatenate([d.nodes for d in designs]))
     noise_by_node = {}
     if noise:
-        kernel = build_kernel(family, all_nodes, model.beta)
+        kernel = build_kernel(model.family_for(lam), all_nodes, model.beta)
         path = sample_path(kernel, child_seed(seed, "trajectory", j))
         noise_by_node = dict(zip(all_nodes.tolist(), path.values))
 
     truth = model.truth(j).real
     estimates = np.empty(n_sequence.size, dtype=complex)
-    for ni, nodes in enumerate(blocks):
-        w = nodes ** (-lam * m_j) / nodes.size
-        signal = packet_quadratic_form(family, nodes, model.observable)
-        for term in model.observable.terms[: j - 1]:
-            signal = signal - packet_quadratic_form(family, nodes, term)
+    for ni, design in enumerate(designs):
+        values = design.signal(model.observable, j)
         if noise:
-            signal = signal + np.array([noise_by_node[t] for t in nodes.tolist()])
-        estimates[ni] = np.sum(w * signal)
+            values = values + np.array([noise_by_node[t] for t in design.nodes.tolist()])
+        estimates[ni] = design.estimate(values)
 
     tube = n_sequence ** (-theta)
     deviations = np.abs(estimates - truth)

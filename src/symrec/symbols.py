@@ -14,12 +14,11 @@ finite sum of its terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError
-from .expressions import CoeffExpr
 from .spectral_core import SpectralPatch, evaluate_physical, require_tail_small
 from .wave_packets import WavePacketFamily
 
@@ -138,10 +137,6 @@ def eval_symbol(obj, x, xi):
     if isinstance(obj, SymbolExpansion):
         return obj.eval(x, xi)
     return obj.eval(x, xi)
-
-
-def constant_coefficient(value: float) -> CoeffExpr:
-    return CoeffExpr(repr(float(value)))
 
 
 def _as_terms(P) -> tuple:
@@ -282,14 +277,3 @@ def asymptotic_error_probe(
         "errors": errors,
     }
 
-
-def subtracted_observable(P: Observable, through: int) -> SymbolExpansion | None:
-    """Symbol of P minus its first ``through`` terms (None when empty)."""
-    rest = P.terms[through:]
-    if not rest:
-        return None
-    return SymbolExpansion(rest)
-
-
-def scaled_term(term: HomogeneousTerm, **changes) -> HomogeneousTerm:
-    return replace(term, **changes)

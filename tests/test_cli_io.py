@@ -55,6 +55,11 @@ class TestConfig:
         with pytest.raises(Exception, match="unknown key"):
             parse_config("bogus = 1\n")
 
+    @pytest.mark.parametrize("key", ["symbol_1_hplus", "symbol_1_h"])
+    def test_unknown_symbol_field_rejected(self, key):
+        with pytest.raises(Exception, match="unknown key"):
+            parse_config(TWO_TERM_CFG + f"{key} = 0\n")
+
     def test_symbol_numbering_must_be_dense(self):
         with pytest.raises(Exception, match="numbered"):
             parse_config("symbol_2_order = 1\nsymbol_2_coeff = 1\n")
@@ -92,6 +97,24 @@ class TestCommands:
         code = main(["recover", "--config", str(bad), "--quiet"])
         assert code == 2
         assert "strictly decreasing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message", [("average_nodes = 1", ">= 2 nodes"), ("workers = -3", "workers")]
+    )
+    def test_bad_counts_exit_2(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TWO_TERM_CFG + line + "\n")
+        code = main(["recover", "--config", str(bad), "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert "Traceback" not in err
+
+    def test_workers_flag_below_one_exit_2(self, cfg_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recover", "--config", str(cfg_path), "--workers", "0", "--quiet"])
+        assert exc.value.code == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["recover", "--config", str(tmp_path / "nope.cfg")]) == 2

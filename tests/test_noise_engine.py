@@ -109,7 +109,6 @@ def test_nonpsd_kernel_rejected():
         beta=0.0,
         offsets=(0, 1),
         bands=(np.array([1.0, 1.0]), np.array([2.0])),
-        node_norms_sq=np.array([1.0, 1.0]),
     )
     with pytest.raises(NumericalError, match="PSD"):
         bad.factor()

@@ -14,6 +14,7 @@ from symrec.measurement_recovery import (
     recover_expansion,
 )
 from symrec.noise_engine import build_kernel
+from symrec.stats_harness import _estimator_samples, trajectory_as_convergence_check
 from symrec.symbols import (
     HomogeneousTerm,
     Observable,
@@ -212,7 +213,7 @@ def test_self_subtract_error_propagation(two_term_model, two_term_plan):
     worst_t1 = max(r.abs_error for r in term1)
     lam2 = two_term_plan.lam(2)
     m1, m2 = two_term_plan.m_list[0], two_term_plan.m_list[1]
-    amplification = float(np.mean(session.nodes[2] ** (lam2 * (m1 - m2))))
+    amplification = float(np.mean(session.designs[2].nodes ** (lam2 * (m1 - m2))))
     diffs = [
         abs(by_key[("self", r.x0)] - by_key[("oracle", r.x0)]) for r in term1
     ]
@@ -225,3 +226,19 @@ def test_self_subtract_needs_dense_grid(two_term_model, two_term_plan):
         RecoverySession(
             two_term_model, two_term_plan, [0.0], 16.0, subtract_mode="self"
         )
+
+
+def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_plan):
+    model, plan, N = two_term_model, two_term_plan, 8.0
+    session = RecoverySession(model, plan, [model.x0], N, noise=False).run_seed(0)
+    for j, single in ((1, plain_estimate), (2, averaged_estimate)):
+        expected = single(model, plan, j, N, noise=False)
+        got = [
+            next(r.estimate for r in session.rows if r.term_index == j),
+            _estimator_samples(model, plan, j, N, 3, 0, "rate-0", noise=False)[0],
+            trajectory_as_convergence_check(
+                model, plan, j, [N, 2 * N], noise=False
+            ).estimates[0],
+        ]
+        for value in got:
+            assert abs(value - expected) <= 1e-12 * abs(expected)
