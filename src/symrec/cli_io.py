@@ -7,7 +7,9 @@ version, wall time) sufficient to reproduce it.  Identical config and
 seed produce byte-identical CSV output for any worker count; wall time
 is recorded only in the manifest.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (a library domain error
+counts as one), 3 numerical failure (non-finite results among them); a
+failed run writes nothing.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import time
 import warnings
@@ -119,9 +122,15 @@ _BOOL_KEYS = {"noise"}
 _SYMBOL_FIELDS = {"order", "coeff", "h_minus", "h_plus"}
 
 
-def _parse_float_list(text: str) -> tuple:
+def _finite(key: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"cli_io: {key} must be finite, got {value!r}")
+    return value
+
+
+def _parse_float_list(key: str, text: str) -> tuple:
     items = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(float(p) for p in items)
+    return tuple(_finite(key, float(p)) for p in items)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -140,8 +149,10 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             if key in _SCALAR_KEYS:
                 values[key] = _SCALAR_KEYS[key](val)
+                if _SCALAR_KEYS[key] is float:
+                    _finite(key, values[key])
             elif key in _LIST_KEYS:
-                values[key] = _parse_float_list(val)
+                values[key] = _parse_float_list(key, val)
             elif key in _BOOL_KEYS:
                 if val not in ("true", "false"):
                     raise ConfigError(
@@ -149,7 +160,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     )
                 values[key] = val == "true"
             elif key.startswith("lambda_"):
-                lambdas[int(key[len("lambda_"):])] = float(val)
+                lambdas[int(key[len("lambda_"):])] = _finite(key, float(val))
             elif key == "symbol_count":
                 values["_symbol_count"] = int(val)
             elif key.startswith("symbol_"):
@@ -157,7 +168,9 @@ def parse_config(text: str) -> ExperimentConfig:
                 if len(parts) != 3 or parts[2] not in _SYMBOL_FIELDS:
                     raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
                 idx = int(parts[1])
-                symbol_raw.setdefault(idx, {})[parts[2]] = val
+                symbol_raw.setdefault(idx, {})[parts[2]] = (
+                    val if parts[2] == "coeff" else _finite(key, float(val))
+                )
             else:
                 raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
         except (ValueError, TypeError) as exc:
@@ -174,16 +187,13 @@ def parse_config(text: str) -> ExperimentConfig:
         missing = {"order", "coeff"} - set(entry)
         if missing:
             raise ConfigError(f"cli_io: symbol_{idx} is missing {sorted(missing)}")
-        terms.append(
-            TermSpec(
-                order=float(entry["order"]),
-                coeff=entry["coeff"],
-                h_minus=float(entry.get("h_minus", 1.0)),
-                h_plus=float(entry.get("h_plus", 1.0)),
-            )
-        )
+        terms.append(TermSpec(**entry))
     if values.get("workers", 1) < 1:
         raise ConfigError("cli_io: workers must be >= 1")
+    if values.get("xi0", 1.0) not in (-1.0, 1.0):
+        raise ConfigError("cli_io: xi0 must be 1 or -1")
+    if not values.get("profile_sharpness", 1.0) > 0.0:
+        raise ConfigError("cli_io: profile_sharpness must be positive")
     values["terms"] = tuple(terms)
     values["lambda_overrides"] = tuple(sorted(lambdas.items()))
     try:
@@ -382,7 +392,12 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         noise=cfg.noise,
     )
     seeds = [child_seed(cfg.seed, trial, "recover-trial") for trial in range(max(1, cfg.trials))]
-    reports = parallel_map(session.run_seed, seeds, cfg.workers)
+    # Only the first trial's trajectories are plotted; the others would hold
+    # every node's contribution for every row.
+    reports = parallel_map(
+        lambda trial: session.run_seed(seeds[trial], trajectories=trial == 0),
+        range(len(seeds)), cfg.workers,
+    )
 
     rows = []
     for report in reports:
@@ -690,6 +705,31 @@ _DISPATCH = {
 }
 
 
+def _finite_leaves(obj) -> bool:
+    """Whether every numeric leaf of a summary is finite."""
+    if isinstance(obj, dict):
+        return all(_finite_leaves(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return all(_finite_leaves(v) for v in obj)
+    if obj is None or isinstance(obj, str):
+        return True
+    return bool(np.all(np.isfinite(obj)))
+
+
+def _require_finite(rows: list, summary: dict) -> None:
+    """Reject non-finite results before anything is written.  Row columns
+    that hold NaN by design (variance, ci_half_width, rate truth and error)
+    are not checked."""
+    bad = [r for r in rows if not (math.isfinite(r.value_re) and math.isfinite(r.value_im))]
+    if bad:
+        raise NumericalError(
+            f"cli_io: {len(bad)} of {len(rows)} result rows are not finite "
+            f"(first: term {bad[0].term_index}, parameter {bad[0].parameter!r})"
+        )
+    if not _finite_leaves(summary):
+        raise NumericalError("cli_io: the summary holds non-finite values")
+
+
 def run_command(
     name: str, cfg: ExperimentConfig, out_dir: str | Path | None = None,
     quiet: bool = False,
@@ -701,11 +741,11 @@ def run_command(
             raise ConfigError(f"cli_io: unknown command {name!r}")
         digest = config_digest(cfg)
         experiment_id = f"{name}-{digest[:12]}-{cfg.seed}"
+        rows, summary, plots = _DISPATCH[name](cfg, experiment_id)
+        _require_finite(rows, summary)
+
         out = Path(out_dir if out_dir is not None else cfg.out)
         out.mkdir(parents=True, exist_ok=True)
-
-        rows, summary, plots = _DISPATCH[name](cfg, experiment_id)
-
         slug = name.replace("-", "_")
         csv_path = out / f"{slug}_rows.csv"
         write_rows_csv(csv_path, rows)
@@ -729,12 +769,12 @@ def run_command(
         if not quiet:
             print(f"{name}: wrote {csv_path} ({len(rows)} rows)")
         return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # ConfigError, or a library domain check
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,15 @@ resolves the decorrelation scale of the packet overlaps (spacing in the
 rescaled separation variable (s^lam - t^lam)/N stays below 1/resolution).
 The noise over the nodes of one average is a single jointly sampled path;
 that correlation is what makes the averaging effective.
+
+Self-subtraction replaces Q_k by the term recovered from the estimates v
+on the x0 grid: a not-a-knot cubic spline through v, clipped in x only.
+Such a spline is linear in v, and the quadratic form is linear in the
+coefficient, so (f_t|Q_k f_t) = v @ B with B the forms of the cardinal
+splines (data e_l).  A recovery session integrates B once; its trials
+subtract with one product each and no quadrature.  ``TabulatedCoeff``
+integrates through power moments per grid interval, so building B costs
+about one scalar form per base point, whatever the grid size.
 """
 
 from __future__ import annotations
@@ -207,19 +216,25 @@ class TermDesign:
             plan.mode(j), N, n_nodes, noise,
         )
 
-    def form(self, P, x0: float | None = None) -> np.ndarray:
-        """(f_t|P f_t) over the nodes, with the packets moved to x0."""
+    def form(self, P, x0=None) -> np.ndarray:
+        """(f_t|P f_t) over the nodes, with the packets moved to x0 (an
+        array x0 adds a leading base-point axis)."""
         return packet_quadratic_form(self.family, self.nodes, P, x0)
 
-    def subtract(self, signal: np.ndarray, terms, x0: float | None = None) -> np.ndarray:
-        """signal - sum_k (f_t|Q_k f_t), subtracting in the order given."""
-        for term in terms:
-            signal = signal - self.form(term, x0)
-        return signal
+    def form_and_signal(self, observable: Observable, j: int, x0=None) -> tuple:
+        """(f_t|P f_t) and the oracle-subtracted signal of term j, that form
+        minus the forms of terms 1..j-1 in order.  Each term is integrated
+        once and serves both."""
+        per_term = [self.form(term, x0) for term in observable.terms]
+        form = sum(per_term, 0j)
+        signal = form
+        for part in per_term[: j - 1]:
+            signal = signal - part
+        return form, signal
 
     def signal(self, observable: Observable, j: int, x0: float | None = None) -> np.ndarray:
         """The oracle-subtracted signal of term j."""
-        return self.subtract(self.form(observable, x0), observable.terms[: j - 1], x0)
+        return self.form_and_signal(observable, j, x0)[1]
 
     def noise_path(self, seed: int) -> np.ndarray:
         """One joint draw over the nodes; zeros when the noise is off."""
@@ -320,6 +335,30 @@ class TabulatedCoeff:
     def __call__(self, x):
         return self._spline(np.clip(np.asarray(x, dtype=float), self._lo, self._hi))
 
+    def integrate(self, x, weights) -> np.ndarray:
+        """sum_y weights[y, k] * c(x[y, k]) for (y, k) arrays, with the data's
+        trailing axes before k.  The spline is a cubic in d = x - x_m on each
+        grid interval m, so this is the weights' moments sum_y w d^q per
+        (interval, k) times the spline's coefficients: its cost does not
+        grow with the trailing axes, as that of evaluating c(x) does."""
+        breaks, coefs = self._spline.x, self._spline.c   # coefs[3 - q] goes with d^q
+        x = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+        m = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, breaks.size - 2)
+        d = x - breaks[m]
+        n_k = x.shape[1]
+        bins = (m * n_k + np.arange(n_k)).ravel()
+        size = (breaks.size - 1) * n_k
+        moments = np.empty((4, breaks.size - 1, n_k), dtype=complex)
+        w = np.asarray(weights, dtype=complex)
+        for q in range(4):
+            if q:
+                w = w * d
+            moments[q] = (
+                np.bincount(bins, w.real.ravel(), size)
+                + 1j * np.bincount(bins, w.imag.ravel(), size)
+            ).reshape(-1, n_k)
+        return np.tensordot(coefs[::-1], moments, axes=([0, 1], [0, 1]))
+
 
 @dataclass(frozen=True)
 class RecoveryRow:
@@ -387,22 +426,51 @@ class RecoverySession:
         self.subtract_mode = subtract_mode
         self.alert_threshold = float(alert_threshold)
 
-        # Per (term, grid point): the form (f_t|P f_t), which self-subtraction
-        # starts from, and the oracle-subtracted signal.
+        # Per (term j, grid point i): the form (f_t|P f_t), which
+        # self-subtraction starts from, and the oracle-subtracted signal.
+        # Per earlier term k as well: the cardinal forms B[j, i, k], whose row
+        # l is the form of term k recovered with the values e_l on the grid.
         self.designs = {}
         self.forms = {}
         self.oracle_signals = {}
+        self.cardinal_forms = {}
+        # B takes n_x0^2 x nodes complex values per (j, k): 0.4 GB at 50 grid
+        # points with 9.4k averaged nodes.
+        cardinals = np.eye(self.x0_grid.size)
         for j in range(1, plan.k_beta + 1):
             design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
             self.designs[j] = design
-            for i, x0 in enumerate(self.x0_grid):
-                form = design.form(model.observable, x0)
-                self.forms[(j, i)] = form
-                self.oracle_signals[(j, i)] = design.subtract(
-                    form, model.observable.terms[: j - 1], x0
-                )
+            forms, signals = design.form_and_signal(model.observable, j, self.x0_grid)
+            cards = {
+                k: design.form(self.recovered_term(k, cardinals), self.x0_grid)
+                for k in range(1, j)
+                if subtract_mode != "oracle"
+            }
+            for i in range(self.x0_grid.size):
+                self.forms[(j, i)] = forms[i]
+                self.oracle_signals[(j, i)] = signals[i]
+                for k, B in cards.items():
+                    self.cardinal_forms[(j, i, k)] = B[i]
 
-    def run_seed(self, seed: int) -> EstimatorReport:
+    def recovered_term(self, k: int, values: np.ndarray) -> HomogeneousTerm:
+        """Term k with the coefficient interpolated through ``values`` on the
+        x0 grid (a trailing axis of ``values`` makes it vector-valued)."""
+        # Extend by homogeneity on the measured side of the sphere; the
+        # opposite side never meets a packet window.
+        side = {"h_plus": 1.0, "h_minus": 0.0} if self.model.xi0 > 0 else {
+            "h_plus": 0.0,
+            "h_minus": 1.0,
+        }
+        return HomogeneousTerm(
+            order=self.plan.m_list[k - 1],
+            coefficient=TabulatedCoeff(self.x0_grid, values),
+            **side,
+        )
+
+    def run_seed(self, seed: int, trajectories: bool = True) -> EstimatorReport:
+        """One trial: fresh noise on every signal, the estimate and its error
+        per (subtraction, term, grid point).  With ``trajectories`` the
+        report also keeps each estimate's per-node contributions."""
         report = EstimatorReport(self.plan, [])
         modes = ("oracle", "self") if self.subtract_mode == "both" else (self.subtract_mode,)
         noise_cache = {
@@ -412,14 +480,16 @@ class RecoverySession:
         }
 
         for subtract in modes:
-            recovered_terms = []
+            recovered = []
             for j, design in self.designs.items():
                 estimates = np.empty(self.x0_grid.size, dtype=complex)
                 for i, x0 in enumerate(self.x0_grid):
                     if subtract == "oracle":
                         signal = self.oracle_signals[(j, i)]
                     else:
-                        signal = design.subtract(self.forms[(j, i)], recovered_terms, x0)
+                        signal = self.forms[(j, i)]
+                        for k, prior in enumerate(recovered, start=1):
+                            signal = signal - prior @ self.cardinal_forms[(j, i, k)]
                     values = signal + noise_cache[(j, i)]
                     estimates[i] = design.estimate(values)
                     truth = float(self.model.truth(j, x0).real)
@@ -441,24 +511,12 @@ class RecoverySession:
                     )
                     if err > self.alert_threshold:
                         report.alerts.append((subtract, j, float(x0), err))
-                    report.trajectories[(subtract, j, float(x0))] = (
-                        design.nodes,
-                        design.weights * values * design.nodes.size,
-                    )
-                if subtract == "self":
-                    # Extend by homogeneity on the measured side of the sphere;
-                    # the opposite side never meets a packet window.
-                    side = {"h_plus": 1.0, "h_minus": 0.0} if self.model.xi0 > 0 else {
-                        "h_plus": 0.0,
-                        "h_minus": 1.0,
-                    }
-                    recovered_terms.append(
-                        HomogeneousTerm(
-                            order=self.plan.m_list[j - 1],
-                            coefficient=TabulatedCoeff(self.x0_grid, estimates),
-                            **side,
+                    if trajectories:
+                        report.trajectories[(subtract, j, float(x0))] = (
+                            design.nodes,
+                            design.weights * values * design.nodes.size,
                         )
-                    )
+                recovered.append(estimates)
         return report
 
 

@@ -226,8 +226,7 @@ def quadratic_form_diagonal(f: SpectralPatch, P) -> complex:
 
 
 def packet_quadratic_form(
-    family: WavePacketFamily, t_nodes, P, x0: float | None = None,
-    chunk: int = 2048,
+    family: WavePacketFamily, t_nodes, P, x0=None, chunk: int = 2048,
 ) -> np.ndarray:
     """(f_t|P f_t) for a batch of packet scales, on unit-scale grids.
 
@@ -240,24 +239,39 @@ def packet_quadratic_form(
 
     where s_j is the xi-part of term j.  Agrees with ``quadratic_form``
     to quadrature accuracy and is the route used in node-heavy loops.
+
+    S_j,t does not depend on x0, so it is computed once per term and node
+    chunk and shared by every base point.  An array ``x0`` adds a leading
+    base-point axis to the result.  A coefficient with an
+    ``integrate(x, weights)`` method computes the y-sum itself; a
+    vector-valued one (trailing axes on its values) adds those axes
+    before the nodes.
     """
     profile = family.profile
-    base_x0 = family.x0 if x0 is None else float(x0)
+    x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
-    out = np.zeros(t_nodes.shape, dtype=complex)
-    for lo in range(0, t_nodes.size, chunk):
-        ts = t_nodes[lo : lo + chunk]
-        centers = ts ** family.lam * family.xi0
-        xi_grid = centers[None, :] + np.outer(profile.eta, ts)  # (eta, k)
-        x_grid = base_x0 + np.outer(profile.y, 1.0 / ts)        # (y, k)
-        block = np.zeros(ts.shape, dtype=complex)
-        for term in P.terms if isinstance(P, (Observable, SymbolExpansion)) else _as_terms(P):
+    out = None
+    for term in _as_terms(P):
+        integrate = getattr(term.coefficient, "integrate", None)
+        for lo in range(0, t_nodes.size, chunk):
+            ts = t_nodes[lo : lo + chunk]
+            centers = ts ** family.lam * family.xi0
+            xi_grid = centers[None, :] + np.outer(profile.eta, ts)  # (eta, k)
             svals = term.spectral_factor(xi_grid)
             s_y = profile.unit_kernel @ (profile.chi_hat_eta[:, None] * svals)
-            cvals = np.asarray(term.coefficient(x_grid))
-            block += np.einsum("y,yk,yk->k", profile.y_weights, cvals, s_y)
-        out[lo : lo + chunk] = block
-    return out
+            offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
+            if integrate is not None:
+                weighted = profile.y_weights[:, None] * s_y
+            for i, base in enumerate(x0s):
+                if integrate is None:
+                    cvals = np.asarray(term.coefficient(base + offsets))
+                    form = np.einsum("y,yk,yk->k", profile.y_weights, cvals, s_y)
+                else:
+                    form = integrate(base + offsets, weighted)
+                if out is None:
+                    out = np.zeros((x0s.size, *form.shape[:-1], t_nodes.size), complex)
+                out[i, ..., lo : lo + chunk] += form
+    return out if np.ndim(x0) else out[0]
 
 
 def asymptotic_error_probe(

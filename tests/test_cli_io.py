@@ -11,6 +11,7 @@ from symrec.cli_io import (
     parse_config,
     serialize_config,
 )
+from symrec.errors import ConfigError
 
 TWO_TERM_CFG = """
 # two-term observable, orders one and zero
@@ -64,6 +65,22 @@ class TestConfig:
         with pytest.raises(Exception, match="numbered"):
             parse_config("symbol_2_order = 1\nsymbol_2_coeff = 1\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "xi0 = 0.5",
+            "x0_grid = 0.0, nan",
+            "profile_sharpness = 0",
+            "scale = inf",
+            "lambda_2 = nan",
+            "symbol_2_order = -inf",
+        ],
+    )
+    def test_domain_checked_at_parse(self, line):
+        key = line.split(" = ")[0]
+        with pytest.raises(ConfigError, match=key):
+            parse_config(TWO_TERM_CFG + line + "\n")
+
     def test_defaults(self):
         cfg = parse_config("")
         assert cfg == ExperimentConfig()
@@ -110,6 +127,26 @@ class TestCommands:
         assert err.startswith("config error:") and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "line, code",
+        [
+            ("xi0 = 0.5", 2),
+            ("x0_grid = nan", 2),
+            ("profile_sharpness = -1", 2),
+            ("symbol_1_coeff = exp(x*1000)", 3),
+        ],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_failure_contract(self, tmp_path, capsys, line, code):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TWO_TERM_CFG + line + "\n")
+        out = tmp_path / "o"
+        assert main(["recover", "--config", str(bad), "--out", str(out), "--quiet"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("config error:" if code == 2 else "numerical failure:")
+        assert "Traceback" not in err
+        assert not (out / "recover_rows.csv").exists()
+
     def test_workers_flag_below_one_exit_2(self, cfg_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["recover", "--config", str(cfg_path), "--workers", "0", "--quiet"])
@@ -140,7 +177,8 @@ class TestCommands:
                 ]
             )
             assert code == 0
-            outs.append((out / "recover_rows.csv").read_bytes())
+            files = [out / "recover_rows.csv", *sorted((out / "plots").iterdir())]
+            outs.append([(f.name, f.read_bytes()) for f in files])
         assert outs[0] == outs[1] == outs[2]
 
     def test_seed_override_changes_rows(self, cfg_path, tmp_path):

@@ -6,6 +6,7 @@ from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import (
     MeasurementModel,
     RecoverySession,
+    TabulatedCoeff,
     adaptive_average_nodes,
     averaged_estimate,
     measure,
@@ -242,3 +243,78 @@ def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_p
         ]
         for value in got:
             assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.fixture(scope="module")
+def self_session(two_term_model, two_term_plan):
+    # an unsorted grid: TabulatedCoeff sorts it, the cardinals must follow
+    return RecoverySession(
+        two_term_model, two_term_plan, [0.25, -0.5, 0.5, 0.0, -0.25], 8.0,
+        subtract_mode="both", noise=False,
+    )
+
+
+def test_cardinal_forms_are_the_recovered_term_form(self_session, rng):
+    # the spline is linear in its data and the form linear in the coefficient,
+    # so v @ B equals the form of the term recovered with values v
+    session = self_session
+    design = session.designs[2]
+    v = rng.normal(size=5) + 1j * rng.normal(size=5)
+    term = session.recovered_term(1, v)
+    assert isinstance(term.coefficient, TabulatedCoeff)
+    for i, x0 in enumerate(session.x0_grid):
+        direct = packet_quadratic_form(design.family, design.nodes, term, x0)
+        linear = v @ session.cardinal_forms[(2, i, 1)]
+        assert np.max(np.abs(linear - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_session_oracle_signals_match_the_design(self_session, two_term_model):
+    session = self_session
+    for (j, i), signal in session.oracle_signals.items():
+        expected = session.designs[j].signal(two_term_model.observable, j, session.x0_grid[i])
+        assert np.array_equal(signal, expected)
+
+
+def test_base_point_array_matches_scalar_calls(two_term_model):
+    family = two_term_model.family_for(2.5)
+    nodes = np.linspace(8.0, 16.0, 7)
+    x0s = np.array([-0.3, 0.0, 0.4])
+    P = two_term_model.observable
+    rows = packet_quadratic_form(family, nodes, P, x0s, chunk=3)
+    assert rows.shape == (3, 7)
+    for i, x0 in enumerate(x0s):
+        assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0, chunk=3))
+
+
+def test_vector_coefficient_matches_its_columns(self_session):
+    # the cardinal forms in one vector-valued call, in small node chunks,
+    # against one scalar spline per cardinal
+    session = self_session
+    design = session.designs[2]
+    n = session.x0_grid.size
+    x0s = session.x0_grid[:2]
+    B = packet_quadratic_form(
+        design.family, design.nodes, session.recovered_term(1, np.eye(n)), x0s, chunk=5
+    )
+    assert B.shape == (2, n, design.nodes.size)
+    for l in range(n):
+        direct = packet_quadratic_form(
+            design.family, design.nodes, session.recovered_term(1, np.eye(n)[l]), x0s
+        )
+        assert np.max(np.abs(B[:, l] - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_tabulated_integrate_matches_pointwise_sum(rng):
+    # moments per grid interval times the spline's coefficients, against the
+    # spline evaluated at every point: on the grid points, past both ends of
+    # an unsorted grid, for scalar and vector-valued data
+    grid = np.array([0.25, -0.5, 0.5, 0.0, -0.25])
+    x = rng.uniform(-0.8, 0.8, size=(40, 6))
+    x[:5, 0] = grid
+    weights = rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6))
+    for values in (rng.normal(size=5), np.eye(5), rng.normal(size=(5, 2, 3))):
+        coeff = TabulatedCoeff(grid, values)
+        direct = np.moveaxis(np.einsum("yk,yk...->k...", weights, coeff(x)), 0, -1)
+        got = coeff.integrate(x, weights)
+        assert got.shape == direct.shape
+        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
