@@ -188,6 +188,8 @@ def parse_config(text: str) -> ExperimentConfig:
         if missing:
             raise ConfigError(f"cli_io: symbol_{idx} is missing {sorted(missing)}")
         terms.append(TermSpec(**entry))
+    if values.get("trials", 1) < 1:
+        raise ConfigError("cli_io: trials must be >= 1")
     if values.get("workers", 1) < 1:
         raise ConfigError("cli_io: workers must be >= 1")
     if values.get("xi0", 1.0) not in (-1.0, 1.0):
@@ -391,7 +393,7 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         alert_threshold=cfg.alert_threshold,
         noise=cfg.noise,
     )
-    seeds = [child_seed(cfg.seed, trial, "recover-trial") for trial in range(max(1, cfg.trials))]
+    seeds = [child_seed(cfg.seed, trial, "recover-trial") for trial in range(cfg.trials)]
     # Only the first trial's trajectories are plotted; the others would hold
     # every node's contribution for every row.
     reports = parallel_map(
@@ -430,7 +432,7 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         "modes": list(plan.modes),
         "scale": cfg.scale,
         "subtract": cfg.subtract,
-        "trials": max(1, cfg.trials),
+        "trials": cfg.trials,
         "per_term": per_term,
         "alerts": sum(len(rep.alerts) for rep in reports),
     }
@@ -801,6 +803,8 @@ def main(argv=None) -> int:
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.trials is not None:
+        if args.trials < 1:
+            parser.error("--trials must be >= 1")
         overrides["trials"] = args.trials
     if args.workers is not None:
         if args.workers < 1:

@@ -175,7 +175,8 @@ def _eval(node, x):
     if op == "mul":
         return _eval(node[1], x) * _eval(node[2], x)
     if op == "pow":
-        return _eval(node[1], x) ** node[2]
+        # np.power overflows to inf like exp does; float ** raises OverflowError
+        return np.power(_eval(node[1], x), node[2])
     if op == "call":
         return _FUNCS[node[1]](_eval(node[2], x))
     raise ExpressionError(f"bad AST node {op!r}")
@@ -204,7 +205,11 @@ class CoeffExpr:
         object.__setattr__(self, "_ast", _Parser(self.text).parse())
 
     def __call__(self, x):
-        out = _eval(self._ast, np.asarray(x, dtype=float))
+        # Overflow or an invalid operation yields inf or nan, which the
+        # callers' finiteness checks report; numpy's warnings would only
+        # repeat that on stderr.
+        with np.errstate(all="ignore"):
+            out = _eval(self._ast, np.asarray(x, dtype=float))
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
             if np.ndim(out) == 0 and np.ndim(x) > 0 else out
 

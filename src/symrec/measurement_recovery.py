@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import ConfigError, NumericalError
-from .noise_engine import build_kernel, sample_path
-from .rng import child_seed, rng_for, standard_complex_normal
+from .noise_engine import build_kernel, sample_functional, sample_path
+from .rng import child_seed, complex_normal_dot, rng_for
 from .symbols import HomogeneousTerm, Observable, packet_quadratic_form
 from .wave_packets import PacketProfile, WavePacketFamily
 
@@ -172,9 +173,10 @@ class TermDesign:
     Plain mode measures at the single node N, averaged mode at the midpoint
     grid on [N, 2N]; the weights N^(-lam m) / K rescale and average.  The
     signal is (f_t|P f_t) - sum_k (f_t|Q_k f_t) over the nodes, and the
-    noise one joint path from ``kernel`` (None when the noise is off).
-    A single path combines as sum w (s + n); a batch of trials as
-    sum w s plus (L z) @ w.
+    noise one joint path L z from ``kernel`` (None when the noise is off).
+    An estimate is sum w (s + L z) = w @ s + u @ z with u = L^T w, so every
+    trial draws z and contracts it with u (``noise``, ``noise_batch``);
+    the full path (``noise_path``) is formed only where it is plotted.
     """
 
     def __init__(
@@ -236,24 +238,35 @@ class TermDesign:
         """The oracle-subtracted signal of term j."""
         return self.form_and_signal(observable, j, x0)[1]
 
+    @cached_property
+    def noise_weights(self) -> np.ndarray:
+        """u = L^T w, which turns a white draw z into the estimate's noise."""
+        return self.kernel.apply_factor_transpose(self.weights)
+
     def noise_path(self, seed: int) -> np.ndarray:
         """One joint draw over the nodes; zeros when the noise is off."""
         if self.kernel is None:
             return np.zeros(self.nodes.size, dtype=complex)
         return sample_path(self.kernel, seed).values
 
+    def noise(self, seed: int) -> complex:
+        """The estimate's noise u @ z, with z the draw of ``noise_path(seed)``;
+        zero when the noise is off."""
+        if self.kernel is None:
+            return 0j
+        return sample_functional(self.noise_weights, seed)
+
     def estimate(self, values: np.ndarray) -> complex:
         """sum_t w_t values_t for one path of signal plus noise."""
         return complex(np.sum(self.weights * values))
 
     def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
-        """(L z) @ w for each trial, z keyed by (master_seed, trial, *key)."""
-        z = np.empty((trials, self.nodes.size), dtype=complex)
-        for trial in range(trials):
-            z[trial] = standard_complex_normal(
-                rng_for(master_seed, trial, *key), self.nodes.size
-            )
-        return self.kernel.apply_factor(z) @ self.weights
+        """u @ z for each trial, z keyed by (master_seed, trial, *key)."""
+        u = self.noise_weights
+        return np.array([
+            complex_normal_dot(rng_for(master_seed, trial, *key), u)
+            for trial in range(trials)
+        ], dtype=complex)
 
 
 def measure(
@@ -282,7 +295,7 @@ def _require_mode(plan: OrderPlan, j: int, expected: str, op: str) -> None:
 def _single_estimate(model, plan, j, N, n_nodes, seed, noise, x0, tag) -> complex:
     design = TermDesign.for_term(model, plan, j, N, n_nodes, noise, x0)
     signal = design.signal(model.observable, j)
-    return design.estimate(signal + design.noise_path(child_seed(seed, tag, j)))
+    return design.estimate(signal) + design.noise(child_seed(seed, tag, j))
 
 
 def plain_estimate(
@@ -470,13 +483,20 @@ class RecoverySession:
     def run_seed(self, seed: int, trajectories: bool = True) -> EstimatorReport:
         """One trial: fresh noise on every signal, the estimate and its error
         per (subtraction, term, grid point).  With ``trajectories`` the
-        report also keeps each estimate's per-node contributions."""
+        report also keeps each estimate's per-node contributions, whose
+        noise is the full path L z of the same draw z; the estimates take
+        only u @ z either way."""
         report = EstimatorReport(self.plan, [])
         modes = ("oracle", "self") if self.subtract_mode == "both" else (self.subtract_mode,)
-        noise_cache = {
-            (j, i): design.noise_path(child_seed(seed, "recover", j, i))
-            for j, design in self.designs.items()
+        noise_seeds = {
+            (j, i): child_seed(seed, "recover", j, i)
+            for j in self.designs
             for i in range(self.x0_grid.size)
+        }
+        noise = {key: self.designs[key[0]].noise(s) for key, s in noise_seeds.items()}
+        paths = {
+            key: self.designs[key[0]].noise_path(s) for key, s in noise_seeds.items()
+            if trajectories
         }
 
         for subtract in modes:
@@ -490,8 +510,7 @@ class RecoverySession:
                         signal = self.forms[(j, i)]
                         for k, prior in enumerate(recovered, start=1):
                             signal = signal - prior @ self.cardinal_forms[(j, i, k)]
-                    values = signal + noise_cache[(j, i)]
-                    estimates[i] = design.estimate(values)
+                    estimates[i] = design.estimate(signal) + noise[(j, i)]
                     truth = float(self.model.truth(j, x0).real)
                     err = float(abs(estimates[i] - truth))
                     report.rows.append(
@@ -514,7 +533,7 @@ class RecoverySession:
                     if trajectories:
                         report.trajectories[(subtract, j, float(x0))] = (
                             design.nodes,
-                            design.weights * values * design.nodes.size,
+                            design.weights * (signal + paths[(j, i)]) * design.nodes.size,
                         )
                 recovered.append(estimates)
         return report

@@ -5,10 +5,14 @@ symmetric complex Gaussian family whose covariance between scales t and s
 is |(f_t|f_s)_beta|^2 and whose pseudo-covariance vanishes identically
 (the spectral supports of a packet and a conjugated packet never meet).
 
-Sampling goes through a factor of the covariance kernel: exact for any
-finite node set and O(K^2) at worst.  A direct truncated basis expansion
-(``basis_oracle_*``) exists purely to certify that the kernel route
-produces the same law.
+Sampling goes through a factor L of the covariance kernel (L L^T = C):
+exact for any finite node set and O(K^2) at worst.  A full path L z is
+formed only where the path itself is the output (``sample_path``,
+``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
+u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
+``sample_functional`` draws from the same z without forming L z.  A direct
+truncated basis expansion (``basis_oracle_*``) exists purely to certify
+that the kernel route produces the same law.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigError, NumericalError
-from .rng import rng_for, standard_complex_normal
+from .rng import complex_normal_dot, rng_for, standard_complex_normal
 from .spectral_core import JapaneseBracketWeight
 from .wave_packets import WavePacketFamily, lattice_spacing_for
 
@@ -171,6 +175,17 @@ class NoiseKernel:
                 out[:, d:] += mat[d, : n - d] * zz[:, : n - d]
         return out[0] if single else out
 
+    def apply_factor_transpose(self, w: np.ndarray) -> np.ndarray:
+        """L^T @ w for one real vector, so that w @ (L z) = (L^T w) @ z."""
+        kind, mat = self.factor()
+        if kind == "dense":
+            return mat.T @ w
+        n = self.size
+        out = np.zeros(n)
+        for d in range(min(mat.shape[0], n)):
+            out[: n - d] += mat[d, : n - d] * w[d:]
+        return out
+
 
 @dataclass(frozen=True)
 class NoisePath:
@@ -248,6 +263,13 @@ def sample_path(kernel: NoiseKernel, seed: int) -> NoisePath:
     rng = rng_for(seed, "noise-path")
     z = standard_complex_normal(rng, kernel.size)
     return NoisePath(kernel.nodes, kernel.apply_factor(z), int(seed))
+
+
+def sample_functional(u: np.ndarray, seed: int) -> complex:
+    """u @ z for the z that ``sample_path`` draws at ``seed``.  With
+    u = kernel.apply_factor_transpose(w) this is w @ sample_path(kernel,
+    seed).values up to rounding, at the cost of the draw alone."""
+    return complex_normal_dot(rng_for(seed, "noise-path"), u)
 
 
 def sample_paths(kernel: NoiseKernel, seeds) -> np.ndarray:

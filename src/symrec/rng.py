@@ -41,3 +41,12 @@ def standard_complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
     """Circularly symmetric complex Gaussians with E|z|^2 = 1, E z^2 = 0."""
     parts = rng.standard_normal((2, size))
     return (parts[0] + 1j * parts[1]) / np.sqrt(2.0)
+
+
+def complex_normal_dot(rng: np.random.Generator, u: np.ndarray) -> complex:
+    """u @ standard_complex_normal(rng, u.size) for a real vector u.
+
+    Same draws, contracted part by part, so the complex array is never built.
+    """
+    parts = rng.standard_normal((2, u.size))
+    return complex(parts[0] @ u + 1j * (parts[1] @ u)) / np.sqrt(2.0)

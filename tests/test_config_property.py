@@ -27,7 +27,7 @@ _float_lists = st.lists(_floats, max_size=4).map(tuple)
     grid=_float_lists,
     scale=_floats,
     average_nodes=st.integers(0, 10**6),
-    trials=st.integers(0, 10**6),
+    trials=st.integers(1, 10**6),
     seed=st.integers(-(2**63), 2**63),
     out=st.text("abc/_-.0123456789", min_size=1, max_size=12),
     workers=st.integers(1, 64),

@@ -4,11 +4,13 @@ from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
 from symrec.errors import ConfigError, NumericalError
+from symrec.measurement_recovery import average_grid
 from symrec.noise_engine import (
     NoiseKernel,
     basis_oracle_batch,
     basis_oracle_sample,
     build_kernel,
+    sample_functional,
     sample_path,
     sample_paths,
 )
@@ -101,6 +103,23 @@ def test_plain_variance_slope_from_kernel(base_family):
         var.append(t ** (-2 * lam * m) * kernel.diagonal[0])
     slope = np.polyfit(np.log(ts), np.log(var), 1)[0]
     assert abs(slope - (-2 * lam * (m - 2 * beta))) < 0.1
+
+
+@pytest.mark.parametrize("N, n_nodes, kind", [(12.5, 200, "dense"), (94.0, 1500, "banded")])
+def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
+    # L^T w against w @ L, with L read off apply_factor on an identity batch;
+    # then u @ z against w @ (L z) for the z of one sample_path draw
+    kernel = build_kernel(base_family, average_grid(N, n_nodes), 0.0)
+    assert kernel.factor()[0] == kind
+    L = kernel.apply_factor(np.eye(kernel.size)).T
+    w = rng.uniform(0.5, 1.5, kernel.size)
+    u = kernel.apply_factor_transpose(w)
+    want = w @ L
+    assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
+    for seed in (5, 2**63 + 11):
+        path = sample_path(kernel, seed).values
+        scale = np.sqrt(kernel.quad_form(w))
+        assert abs(sample_functional(u, seed) - w @ path) <= 1e-12 * scale
 
 
 def test_nonpsd_kernel_rejected():

@@ -7,6 +7,7 @@ from symrec.measurement_recovery import (
     MeasurementModel,
     RecoverySession,
     TabulatedCoeff,
+    TermDesign,
     adaptive_average_nodes,
     averaged_estimate,
     measure,
@@ -15,6 +16,7 @@ from symrec.measurement_recovery import (
     recover_expansion,
 )
 from symrec.noise_engine import build_kernel
+from symrec.rng import rng_for, standard_complex_normal
 from symrec.stats_harness import _estimator_samples, trajectory_as_convergence_check
 from symrec.symbols import (
     HomogeneousTerm,
@@ -243,6 +245,34 @@ def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_p
         ]
         for value in got:
             assert abs(value - expected) <= 1e-12 * abs(expected)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_noise_batch_is_the_weighted_path_batch(two_term_model, two_term_plan, j):
+    # u @ z per trial against the full paths L z contracted with w
+    design = TermDesign.for_term(two_term_model, two_term_plan, j, 8.0)
+    got = design.noise_batch(6, 17, "key", 3)
+    z = np.array(
+        [standard_complex_normal(rng_for(17, trial, "key", 3), design.nodes.size)
+         for trial in range(6)]
+    )
+    want = design.kernel.apply_factor(z) @ design.weights
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_plan):
+    # the plotted contributions carry the full path L z, the rows u @ z of
+    # the same draw; rows do not depend on whether trajectories are kept
+    session = RecoverySession(
+        two_term_model, two_term_plan, [-0.5, -0.25, 0.0, 0.25], 8.0, subtract_mode="both"
+    )
+    report = session.run_seed(5, trajectories=True)
+    assert len(report.trajectories) == len(report.rows) == 16
+    for r in report.rows:
+        _, contributions = report.trajectories[(r.subtract, r.term_index, r.x0)]
+        mean = np.mean(contributions)
+        assert abs(r.estimate - mean) <= 1e-12 * abs(mean)
+    assert session.run_seed(5, trajectories=False).rows == report.rows
 
 
 @pytest.fixture(scope="module")
