@@ -92,6 +92,28 @@ class ExperimentConfig:
     averaged_margin: float = 0.5
     terms: tuple = ()
 
+    def __post_init__(self):
+        """The domain checks, for a config parsed from text or built in code."""
+        numbers = [(key, getattr(self, key)) for key, t in _SCALAR_KEYS.items() if t is float]
+        numbers += [(key, v) for key in sorted(_LIST_KEYS) for v in getattr(self, key)]
+        numbers += [(f"lambda_{j}", lam) for j, lam in self.lambda_overrides]
+        numbers += [
+            (f"symbol_{i}_{name}", getattr(term, name))
+            for i, term in enumerate(self.terms, start=1)
+            for name in ("order", "h_minus", "h_plus")
+        ]
+        for key, value in numbers:
+            if not math.isfinite(value):
+                raise ConfigError(f"cli_io: {key} must be finite, got {value!r}")
+        if self.trials < 1:
+            raise ConfigError("cli_io: trials must be >= 1")
+        if self.workers < 1:
+            raise ConfigError("cli_io: workers must be >= 1")
+        if self.xi0 not in (-1.0, 1.0):
+            raise ConfigError("cli_io: xi0 must be 1 or -1")
+        if not self.profile_sharpness > 0.0:
+            raise ConfigError("cli_io: profile_sharpness must be positive")
+
     def plan_order_list(self) -> list:
         if self.orders:
             return list(self.orders)
@@ -122,19 +144,9 @@ _BOOL_KEYS = {"noise"}
 _SYMBOL_FIELDS = {"order", "coeff", "h_minus", "h_plus"}
 
 
-def _finite(key: str, value: float) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"cli_io: {key} must be finite, got {value!r}")
-    return value
-
-
-def _parse_float_list(key: str, text: str) -> tuple:
-    items = [p.strip() for p in text.split(",") if p.strip()]
-    return tuple(_finite(key, float(p)) for p in items)
-
-
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse a key=value config; unknown keys are rejected."""
+    """Parse a key=value config; unknown keys are rejected, and
+    ``ExperimentConfig`` checks the values' domains."""
     values: dict = {}
     lambdas: dict = {}
     symbol_raw: dict = {}
@@ -149,10 +161,8 @@ def parse_config(text: str) -> ExperimentConfig:
         try:
             if key in _SCALAR_KEYS:
                 values[key] = _SCALAR_KEYS[key](val)
-                if _SCALAR_KEYS[key] is float:
-                    _finite(key, values[key])
             elif key in _LIST_KEYS:
-                values[key] = _parse_float_list(key, val)
+                values[key] = tuple(float(p) for p in val.split(",") if p.strip())
             elif key in _BOOL_KEYS:
                 if val not in ("true", "false"):
                     raise ConfigError(
@@ -160,7 +170,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     )
                 values[key] = val == "true"
             elif key.startswith("lambda_"):
-                lambdas[int(key[len("lambda_"):])] = _finite(key, float(val))
+                lambdas[int(key[len("lambda_"):])] = float(val)
             elif key == "symbol_count":
                 values["_symbol_count"] = int(val)
             elif key.startswith("symbol_"):
@@ -169,7 +179,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
                 idx = int(parts[1])
                 symbol_raw.setdefault(idx, {})[parts[2]] = (
-                    val if parts[2] == "coeff" else _finite(key, float(val))
+                    val if parts[2] == "coeff" else float(val)
                 )
             else:
                 raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
@@ -188,14 +198,6 @@ def parse_config(text: str) -> ExperimentConfig:
         if missing:
             raise ConfigError(f"cli_io: symbol_{idx} is missing {sorted(missing)}")
         terms.append(TermSpec(**entry))
-    if values.get("trials", 1) < 1:
-        raise ConfigError("cli_io: trials must be >= 1")
-    if values.get("workers", 1) < 1:
-        raise ConfigError("cli_io: workers must be >= 1")
-    if values.get("xi0", 1.0) not in (-1.0, 1.0):
-        raise ConfigError("cli_io: xi0 must be 1 or -1")
-    if not values.get("profile_sharpness", 1.0) > 0.0:
-        raise ConfigError("cli_io: profile_sharpness must be positive")
     values["terms"] = tuple(terms)
     values["lambda_overrides"] = tuple(sorted(lambdas.items()))
     try:

@@ -439,11 +439,12 @@ class RecoverySession:
         self.subtract_mode = subtract_mode
         self.alert_threshold = float(alert_threshold)
 
-        # Per (term j, grid point i): the form (f_t|P f_t), which
-        # self-subtraction starts from, and the oracle-subtracted signal.
+        # Per (term j, grid point i): the truth a_j(x0), the form (f_t|P f_t),
+        # which self-subtraction starts from, and the oracle-subtracted signal.
         # Per earlier term k as well: the cardinal forms B[j, i, k], whose row
         # l is the form of term k recovered with the values e_l on the grid.
         self.designs = {}
+        self.truths = {}
         self.forms = {}
         self.oracle_signals = {}
         self.cardinal_forms = {}
@@ -459,7 +460,8 @@ class RecoverySession:
                 for k in range(1, j)
                 if subtract_mode != "oracle"
             }
-            for i in range(self.x0_grid.size):
+            for i, x0 in enumerate(self.x0_grid):
+                self.truths[(j, i)] = float(model.truth(j, x0).real)
                 self.forms[(j, i)] = forms[i]
                 self.oracle_signals[(j, i)] = signals[i]
                 for k, B in cards.items():
@@ -511,7 +513,7 @@ class RecoverySession:
                         for k, prior in enumerate(recovered, start=1):
                             signal = signal - prior @ self.cardinal_forms[(j, i, k)]
                     estimates[i] = design.estimate(signal) + noise[(j, i)]
-                    truth = float(self.model.truth(j, x0).real)
+                    truth = self.truths[(j, i)]
                     err = float(abs(estimates[i] - truth))
                     report.rows.append(
                         RecoveryRow(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -5,6 +6,7 @@ import pytest
 
 from symrec.cli_io import (
     ExperimentConfig,
+    TermSpec,
     config_digest,
     emit_plot_data,
     main,
@@ -47,8 +49,6 @@ class TestConfig:
 
     def test_digest_ignores_execution_knobs(self):
         cfg = parse_config(TWO_TERM_CFG)
-        import dataclasses
-
         other = dataclasses.replace(cfg, workers=4, out="elsewhere")
         assert config_digest(cfg) == config_digest(other)
 
@@ -80,6 +80,22 @@ class TestConfig:
         key = line.split(" = ")[0]
         with pytest.raises(ConfigError, match=key):
             parse_config(TWO_TERM_CFG + line + "\n")
+
+    @pytest.mark.parametrize(
+        "change, key",
+        [
+            ({"trials": 0}, "trials"),
+            ({"workers": 0}, "workers"),
+            ({"xi0": 0.5}, "xi0"),
+            ({"grid": (8.0, float("inf"))}, "grid"),
+            ({"terms": (TermSpec(order=float("nan"), coeff="1"),)}, "symbol_1_order"),
+        ],
+        ids=["trials", "workers", "xi0", "grid", "symbol_order"],
+    )
+    def test_domain_checked_in_code(self, change, key):
+        # a config built in code gets the same checks as a parsed one
+        with pytest.raises(ConfigError, match=key):
+            dataclasses.replace(parse_config(TWO_TERM_CFG), **change)
 
     def test_defaults(self):
         cfg = parse_config("")
@@ -141,6 +157,10 @@ class TestCommands:
             ("profile_sharpness = -1", 2),
             ("symbol_1_coeff = 10**400", 2),
             ("symbol_1_coeff = exp(x*1000)", 3),
+            pytest.param(
+                "symbol_1_coeff = " + "+".join(["x"] * 3001), 2,
+                id="symbol_1_coeff = x+x+...+x (3001 terms)-2",
+            ),
         ],
     )
     def test_failure_contract(self, tmp_path, capsys, line, code):

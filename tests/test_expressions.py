@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from symrec.expressions import ExpressionError, parse_coeff
+from symrec.expressions import CoeffExpr, ExpressionError, parse_coeff
 
 
 def test_constants_and_arithmetic():
@@ -24,6 +24,10 @@ def test_powers():
     np.testing.assert_allclose(parse_coeff("x^2")(x), x ** 2)
     np.testing.assert_allclose(parse_coeff("x**3")(x), x ** 3)
     np.testing.assert_allclose(parse_coeff("(1 + x)**-1")(x), 1 / (1 + x))
+    np.testing.assert_allclose(parse_coeff("((1 + x)^2)^-1.5 * 2^3")(x), (1 + x) ** -3 * 8)
+    # every power, nested ones too, goes through np.power: inf, not OverflowError
+    nested = CoeffExpr("(10^400)^0.5 * (2^-1)^1")
+    assert nested.is_constant and nested(0.0) == np.inf
 
 
 def test_is_constant_flag():
@@ -35,7 +39,12 @@ def test_is_constant_flag():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "1 +", "foo(x)", "x x", "sin x", "(1 + 2", "x ** y", "1 / 2"],
+    [
+        "", "1 +", "foo(x)", "x x", "sin x", "(1 + 2", "x ** y", "1 / 2",
+        # Python syntax outside the grammar
+        "+x", "x**+2", "x**2**3", "x**(1+1)", "True", "1j", "sin(x, 1)", "sin(x=1)",
+        "x.real", "x[0]", "lambda: 1", "x if x else 1", "x < 1", '__import__("os")',
+    ],
 )
 def test_rejects_malformed(bad):
     with pytest.raises(ExpressionError):

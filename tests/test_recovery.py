@@ -305,6 +305,14 @@ def test_session_oracle_signals_match_the_design(self_session, two_term_model):
         assert np.array_equal(signal, expected)
 
 
+def test_session_rows_carry_the_truth_at_their_base_point(self_session, two_term_model):
+    # the truths are computed once per session; every row must still get its own
+    rows = self_session.run_seed(3, trajectories=False).rows
+    assert len(rows) == 2 * 2 * 5  # modes * terms * grid points
+    for r in rows:
+        assert r.truth == two_term_model.truth(r.term_index, r.x0).real
+
+
 def test_base_point_array_matches_scalar_calls(two_term_model):
     family = two_term_model.family_for(2.5)
     nodes = np.linspace(8.0, 16.0, 7)
