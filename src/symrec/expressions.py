@@ -23,6 +23,15 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 _GLOBALS = {"__builtins__": {}, "_pow": np.power, **_FUNCS}
 _OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Pow)
 _PASS_THROUGH = (ast.Expression, ast.Load, ast.USub, *_OPERATORS)
+_QUOTE_CHARS = 40
+
+
+def _quote(text: str) -> str:
+    """The text for an error message: whole when short, else a prefix and
+    the length, so that one bad expression makes one short line."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} characters)"
 
 
 class ExpressionError(ValueError):
@@ -53,7 +62,7 @@ def _compile(text: str):
         # for its parser as RecursionError or, past the parser's own stack,
         # as MemoryError.
         reason = exc.msg if isinstance(exc, SyntaxError) else str(exc) or "nested too deeply"
-        raise ExpressionError(f"cannot parse {text!r}: {reason}") from None
+        raise ExpressionError(f"cannot parse {_quote(text)}: {reason}") from None
     nodes = list(ast.walk(tree))  # breadth-first: parents before children
     callees = set()
     for node in nodes:
@@ -91,7 +100,7 @@ def _compile(text: str):
         elif not isinstance(node, _PASS_THROUGH):
             bad = "is outside the coefficient grammar"
         if bad:
-            raise ExpressionError(f"{ast.get_source_segment(source, node)!r} {bad}")
+            raise ExpressionError(f"{_quote(ast.get_source_segment(source, node))} {bad}")
     for node in reversed(nodes):  # a power's operands are rewritten before it
         for name, value in ast.iter_fields(node):
             if isinstance(value, list):
@@ -101,7 +110,7 @@ def _compile(text: str):
     try:
         return compile(tree, "<coefficient>", "eval")
     except RecursionError:
-        raise ExpressionError(f"{text!r} is nested too deeply") from None
+        raise ExpressionError(f"{_quote(text)} is nested too deeply") from None
 
 
 @dataclass(frozen=True)
@@ -131,5 +140,5 @@ def parse_coeff(text: str) -> CoeffExpr:
     expr = CoeffExpr(text.strip())
     value = expr(0.0)
     if not math.isfinite(float(np.asarray(value))):
-        raise ExpressionError(f"{text!r} does not evaluate to a finite value")
+        raise ExpressionError(f"{_quote(text)} does not evaluate to a finite value")
     return expr

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from . import splines
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_functional, sample_path
 from .rng import child_seed, complex_normal_dot, rng_for
@@ -340,13 +340,13 @@ class TabulatedCoeff:
     is_constant = False
 
     def __init__(self, x_grid: np.ndarray, values: np.ndarray):
-        order = np.argsort(x_grid)
-        self._lo = float(x_grid[order[0]])
-        self._hi = float(x_grid[order[-1]])
-        self._spline = CubicSpline(np.asarray(x_grid)[order], np.asarray(values)[order])
+        self._breaks, self._coefs = splines.not_a_knot(x_grid, values)
+        self._lo = float(self._breaks[0])
+        self._hi = float(self._breaks[-1])
 
     def __call__(self, x):
-        return self._spline(np.clip(np.asarray(x, dtype=float), self._lo, self._hi))
+        x = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
+        return splines.evaluate(self._breaks, self._coefs, x)
 
     def integrate(self, x, weights) -> np.ndarray:
         """sum_y weights[y, k] * c(x[y, k]) for (y, k) arrays, with the data's
@@ -354,7 +354,7 @@ class TabulatedCoeff:
         grid interval m, so this is the weights' moments sum_y w d^q per
         (interval, k) times the spline's coefficients: its cost does not
         grow with the trailing axes, as that of evaluating c(x) does."""
-        breaks, coefs = self._spline.x, self._spline.c   # coefs[3 - q] goes with d^q
+        breaks, coefs = self._breaks, self._coefs   # coefs[3 - q] goes with d^q
         x = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
         m = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, breaks.size - 2)
         d = x - breaks[m]
@@ -430,10 +430,12 @@ class RecoverySession:
         self.model = model
         self.plan = plan
         self.x0_grid = np.asarray(x0_grid, dtype=float)
-        if subtract_mode in ("self", "both") and self.x0_grid.size < 4:
+        if subtract_mode in ("self", "both") and (
+            self.x0_grid.size < 4 or np.unique(self.x0_grid).size < self.x0_grid.size
+        ):
             raise ConfigError(
                 "measurement_recovery: self-subtraction needs an x0 grid dense "
-                "enough for interpolation (>= 4 points)"
+                "enough for interpolation (>= 4 distinct points)"
             )
         self.N = float(N)
         self.subtract_mode = subtract_mode

@@ -30,6 +30,7 @@ from .wave_packets import WavePacketFamily, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
 _PSD_TOL = 1e-10
+_PATCH_BLOCK = 2 ** 20
 
 
 def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[int, int]:
@@ -44,28 +45,32 @@ def _node_patch_matrix(
     """Sparse matrix of packet spectra on the shared lattice.
 
     Row k holds the samples of fhat_{t_k}; columns are lattice points.
-    Returns the matrix and the lattice frequencies of its columns.
+    Returns the matrix and the lattice frequencies of its columns.  The
+    entries are those of ``family.spectrum`` row by row, with the same
+    arithmetic per entry, evaluated in one pass over all of them.
     """
-    ranges = [
-        _lattice_index_range(family.center(t), t, spacing) for t in nodes
-    ]
-    k_min = min(r[0] for r in ranges)
-    k_max = max(r[1] for r in ranges)
-    n_cols = k_max - k_min + 1
+    ts = [float(t) for t in nodes]
+    centers = [family.center(t) for t in ts]
+    ranges = np.array([_lattice_index_range(c, t, spacing) for c, t in zip(centers, ts)])
+    k_min = int(ranges[:, 0].min())
+    k_max = int(ranges[:, 1].max())
     xi_cols = (np.arange(k_min, k_max + 1) + 0.5) * spacing
 
-    rows, cols, data = [], [], []
-    for row, (t, (k_lo, k_hi)) in enumerate(zip(nodes, ranges)):
-        idx = np.arange(k_lo - k_min, k_hi - k_min + 1)
-        xi = xi_cols[idx]
-        vals = family.spectrum(float(t), xi)
-        rows.append(np.full(idx.size, row))
-        cols.append(idx)
-        data.append(vals)
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(len(nodes), n_cols),
-    ).tocsr()
+    lengths = ranges[:, 1] - ranges[:, 0] + 1
+    indptr = np.zeros(len(ts) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    rows = np.repeat(np.arange(len(ts), dtype=np.int32), lengths)
+    # entry e of row k sits in column (k_lo[k] - k_min) + (e - indptr[k])
+    cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
+    scales = np.array([t ** -0.5 for t in ts])
+    centers, ts = np.array(centers), np.array(ts)
+    phase = np.exp(-1j * xi_cols * family.x0)
+    data = np.empty(cols.size, dtype=complex)
+    for lo in range(0, cols.size, _PATCH_BLOCK):  # blocks bound the temporaries
+        r, c = rows[lo : lo + _PATCH_BLOCK], cols[lo : lo + _PATCH_BLOCK]
+        envelope = family.profile.chi_hat((xi_cols[c] - centers[r]) / ts[r])
+        data[lo : lo + _PATCH_BLOCK] = scales[r] * phase[c] * envelope
+    mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
     return mat, xi_cols
 
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
@@ -48,14 +47,22 @@ class SlopeRegression:
 
     @classmethod
     def fit(cls, x, y) -> "SlopeRegression":
+        """Least squares with the slope's standard error, by the formulas of
+        ``scipy.stats.linregress``."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.size < 4:
             raise ConfigError("stats_harness: slope regression needs >= 4 points")
-        res = linregress(x, y)
-        if not math.isfinite(res.stderr):
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))) or np.ptp(x) == 0.0:
+            raise NumericalError("stats_harness: regression data are degenerate")
+        ssxm, ssxym, _, ssym = (float(v) for v in np.cov(x, y, bias=True).flat)
+        slope = ssxym / ssxm
+        intercept = float(np.mean(y)) - slope * float(np.mean(x))
+        r = min(max(ssxym / math.sqrt(ssxm * ssym), -1.0), 1.0) if ssym > 0.0 else math.nan
+        stderr = math.sqrt((1.0 - r * r) * ssym / ssxm / (x.size - 2))
+        if not math.isfinite(stderr):
             raise NumericalError("stats_harness: regression stderr is not finite")
-        return cls(x, y, float(res.slope), float(res.intercept), float(res.stderr))
+        return cls(x, y, slope, intercept, stderr)
 
 
 def wilson_interval(successes: int, n: int, z: float = 1.0) -> tuple[float, float]:

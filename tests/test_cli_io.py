@@ -1,9 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import symrec
 from symrec.cli_io import (
     ExperimentConfig,
     TermSpec,
@@ -161,6 +165,14 @@ class TestCommands:
                 "symbol_1_coeff = " + "+".join(["x"] * 3001), 2,
                 id="symbol_1_coeff = x+x+...+x (3001 terms)-2",
             ),
+            pytest.param(
+                "subtract = self\nx0_grid = -0.5, 0.0, 0.5", 2,
+                id="subtract = self, 3 x0 points-2",
+            ),
+            pytest.param(
+                "subtract = self\nx0_grid = -0.5, 0.0, 0.0, 0.25, 0.5", 2,
+                id="subtract = self, a repeated x0 point-2",
+            ),
         ],
     )
     def test_failure_contract(self, tmp_path, capsys, line, code):
@@ -169,10 +181,27 @@ class TestCommands:
         out = tmp_path / "o"
         assert main(["recover", "--config", str(bad), "--out", str(out), "--quiet"]) == code
         err = capsys.readouterr().err
-        # one line: no numpy warning ahead of it, no traceback
+        # one short line: no numpy warning ahead of it, no traceback, and
+        # no more than a prefix of a long expression
         assert err.count("\n") == 1
+        assert len(err) < 200
         assert err.startswith("config error:" if code == 2 else "numerical failure:")
         assert not (out / "recover_rows.csv").exists()
+
+    def test_import_leaves_slow_scipy_modules_unloaded(self):
+        # the CLI's start-up cost: each of these takes tenths of a second
+        code = (
+            "import sys, symrec.cli_io; "
+            "print([m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.integrate') "
+            "if m in sys.modules])"
+        )
+        env = dict(os.environ)
+        src = str(Path(symrec.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]"
 
     def test_workers_flag_below_one_exit_2(self, cfg_path, capsys):
         with pytest.raises(SystemExit) as exc:

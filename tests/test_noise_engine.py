@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
@@ -7,6 +8,8 @@ from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import average_grid
 from symrec.noise_engine import (
     NoiseKernel,
+    _lattice_index_range,
+    _node_patch_matrix,
     basis_oracle_batch,
     basis_oracle_sample,
     build_kernel,
@@ -15,7 +18,7 @@ from symrec.noise_engine import (
     sample_paths,
 )
 from symrec.rng import child_seed
-from symrec.wave_packets import WavePacketFamily
+from symrec.wave_packets import WavePacketFamily, lattice_spacing_for
 
 
 @pytest.fixture(scope="module")
@@ -188,3 +191,37 @@ class TestBasisOracle:
 def test_nodes_must_increase(base_family):
     with pytest.raises(ConfigError, match="increasing"):
         build_kernel(base_family, [8.0, 4.0], 0.0)
+
+
+def _patch_matrix_per_row(family, nodes, spacing):
+    """One ``family.spectrum`` call per node, assembled through COO."""
+    ranges = [_lattice_index_range(family.center(t), t, spacing) for t in nodes]
+    k_min = min(r[0] for r in ranges)
+    k_max = max(r[1] for r in ranges)
+    xi_cols = (np.arange(k_min, k_max + 1) + 0.5) * spacing
+    rows, cols, data = [], [], []
+    for row, (t, (k_lo, k_hi)) in enumerate(zip(nodes, ranges)):
+        idx = np.arange(k_lo - k_min, k_hi - k_min + 1)
+        rows.append(np.full(idx.size, row))
+        cols.append(idx)
+        data.append(family.spectrum(float(t), xi_cols[idx]))
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(len(nodes), xi_cols.size),
+    ).tocsr()
+    return mat, xi_cols
+
+
+@pytest.mark.parametrize("lam, x0", [(2.0, 0.3), (2.5, -0.45)])
+@pytest.mark.parametrize("n_nodes", [1, 128, 1500, 9407])
+def test_one_pass_patch_matrix_equals_per_row(profile, lam, x0, n_nodes):
+    family = WavePacketFamily(x0=x0, xi0=1.0, lam=lam, profile=profile)
+    nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
+    spacing = lattice_spacing_for(nodes)
+    mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
+    ref, ref_xi = _patch_matrix_per_row(family, nodes, spacing)
+    np.testing.assert_array_equal(xi_cols, ref_xi)
+    assert mat.shape == ref.shape
+    np.testing.assert_array_equal(mat.indptr, ref.indptr)
+    np.testing.assert_array_equal(mat.indices, ref.indices)
+    np.testing.assert_array_equal(mat.data, ref.data)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
@@ -35,6 +36,29 @@ class TestUtilities:
         assert reg.slope == pytest.approx(-1.5, abs=1e-12)
         assert reg.intercept == pytest.approx(0.25, abs=1e-12)
         assert reg.stderr == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 7, 40])
+    def test_slope_regression_matches_linregress(self, rng, n):
+        x = np.log(np.geomspace(8.0, 64.0, n))
+        y = -1.5 * x + 0.3 + 0.05 * rng.standard_normal(n)
+        reg = SlopeRegression.fit(x, y)
+        ref = linregress(x, y)
+        assert reg.slope == pytest.approx(ref.slope, rel=1e-12)
+        assert reg.intercept == pytest.approx(ref.intercept, rel=1e-12)
+        assert reg.stderr == pytest.approx(ref.stderr, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),     # no spread in x
+            ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]),     # no spread in y
+            ([1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0, 4.0]),
+            ([1.0, 2.0, np.inf, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ],
+    )
+    def test_slope_regression_degenerate_raises(self, x, y):
+        with pytest.raises(NumericalError):
+            SlopeRegression.fit(x, y)
 
     def test_slope_regression_needs_four_points(self):
         with pytest.raises(ConfigError, match=">= 4"):

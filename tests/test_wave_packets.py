@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from symrec.spectral_core import JapaneseBracketWeight, inner_product_sobolev
 from symrec.wave_packets import (
+    _CHI_SCAN_MAX,
+    _CHI_SCAN_POINTS,
     WavePacketFamily,
     bridge_sigma,
     lattice_spacing_for,
@@ -29,6 +32,35 @@ def test_normalization_against_fine_quadrature(profile):
     xi = np.linspace(-1.0, 1.0, 400_001)
     norm_sq = np.trapezoid(profile.chi_hat(xi) ** 2, xi)
     assert abs(norm_sq - 1.0) < 1e-8
+
+
+def _chi_simpson(profile, y):
+    """The profile's transform by a 4,097-point Simpson sum, block by block."""
+    xi = np.linspace(0.0, 1.0, 4097)
+    weights = profile.chi_hat(xi)
+    out = np.empty(y.shape)
+    for i in range(0, y.size, 1024):
+        out[i : i + 1024] = simpson(np.cos(np.outer(y[i : i + 1024], xi)) * weights, x=xi)
+    return np.sqrt(2.0 / np.pi) * out
+
+
+def test_gauss_legendre_transform_matches_simpson(profile):
+    scan = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
+    oracle = _chi_simpson(profile, scan)
+    assert np.max(np.abs(profile._chi_exact(scan) - oracle)) < 1e-13 * oracle[0]
+    assert abs(profile.chi0 - oracle[0]) < 1e-13 * oracle[0]
+
+    def radius(threshold):
+        last = np.nonzero(np.abs(oracle) > threshold * oracle[0])[0][-1]
+        return float(scan[last]) + scan[1]
+
+    assert profile.radius_cache == radius(1e-12)
+    assert profile.support_radius == radius(1e-10)
+    assert profile.tail_radius == radius(1e-6)
+    # the spline cache between its knots
+    assert np.max(np.abs(profile.chi(profile.y) - _chi_simpson(profile, profile.y))) < (
+        1e-9 * oracle[0]
+    )
 
 
 def test_window_geometry(profile):
