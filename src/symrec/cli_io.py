@@ -104,6 +104,11 @@ class ExperimentConfig:
         for key, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"cli_io: {key} must be finite, got {value!r}")
+        # packet scales: the packets and the symbols' homogeneity need t >= 1
+        if not self.scale >= 1.0:
+            raise ConfigError(f"cli_io: scale must be >= 1, got {self.scale!r}")
+        if not all(t >= 1.0 for t in self.grid):
+            raise ConfigError(f"cli_io: grid values must be >= 1, got {min(self.grid)!r}")
         if self.trials < 1:
             raise ConfigError("cli_io: trials must be >= 1")
         if self.workers < 1:
@@ -455,7 +460,7 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
             f"term {j} absolute error vs x0 (mode {plan.mode(j)})",
         )
         # running t-average of the first trial at the first grid point
-        key = (cfg.subtract if cfg.subtract != "both" else "oracle", j, cfg.x0_grid[0])
+        key = (session.plotted_mode, j, cfg.x0_grid[0])
         nodes, contributions = reports[0].trajectories[key]
         running = np.cumsum(contributions).real / np.arange(1, nodes.size + 1)
         plots[f"recover_term{j}_trajectory"] = (

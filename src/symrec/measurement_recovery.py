@@ -17,11 +17,15 @@ that correlation is what makes the averaging effective.
 Self-subtraction replaces Q_k by the term recovered from the estimates v
 on the x0 grid: a not-a-knot cubic spline through v, clipped in x only.
 Such a spline is linear in v, and the quadratic form is linear in the
-coefficient, so (f_t|Q_k f_t) = v @ B with B the forms of the cardinal
-splines (data e_l).  A recovery session integrates B once; its trials
-subtract with one product each and no quadrature.  ``TabulatedCoeff``
-integrates through power moments per grid interval, so building B costs
-about one scalar form per base point, whatever the grid size.
+coefficient, so the weighted subtraction w @ (f_t|Q_k f_t) is BW @ v, with
+BW = B @ w and B the forms of the cardinal splines (data e_l).  BW holds
+n_x0 x n_x0 numbers per (j, k), a row per base point, where B holds n_x0
+node-length forms per row.  A recovery session builds BW once,
+without B, in one bucketed moment pass over the nodes
+(``spline_form_sums``); its trials subtract with one product each and no
+quadrature.  Only the plotted trajectory (subtract = self, at x0_grid[0])
+needs rows of B, which ``TabulatedCoeff.integrate`` builds through power
+moments per grid interval.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from . import splines
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_functional, sample_path
 from .rng import child_seed, complex_normal_dot, rng_for
-from .symbols import HomogeneousTerm, Observable, packet_quadratic_form
+from .symbols import (
+    HomogeneousTerm, Observable, packet_quadratic_form, spectral_transform,
+)
 from .wave_packets import PacketProfile, WavePacketFamily
 
 AVERAGE_RESOLUTION = 4.0
@@ -224,15 +230,13 @@ class TermDesign:
         return packet_quadratic_form(self.family, self.nodes, P, x0)
 
     def form_and_signal(self, observable: Observable, j: int, x0=None) -> tuple:
-        """(f_t|P f_t) and the oracle-subtracted signal of term j, that form
-        minus the forms of terms 1..j-1 in order.  Each term is integrated
-        once and serves both."""
+        """(f_t|P f_t) and the oracle-subtracted signal of term j: the sum of
+        the forms of terms j and later, which equals that form minus the
+        forms of terms 1..j-1 without cancelling the larger earlier ones.
+        Each term is integrated once and serves both."""
         per_term = [self.form(term, x0) for term in observable.terms]
         form = sum(per_term, 0j)
-        signal = form
-        for part in per_term[: j - 1]:
-            signal = signal - part
-        return form, signal
+        return form, sum(per_term[j - 1 :], np.zeros_like(form))
 
     def signal(self, observable: Observable, j: int, x0: float | None = None) -> np.ndarray:
         """The oracle-subtracted signal of term j."""
@@ -373,6 +377,89 @@ class TabulatedCoeff:
         return np.tensordot(coefs[::-1], moments, axes=([0, 1], [0, 1]))
 
 
+def spline_form_sums(
+    family: WavePacketFamily, nodes, weights, term: HomogeneousTerm, x0s,
+    chunk: int = 2048,
+) -> np.ndarray:
+    """sum_t weights_t (f_t|P f_t) at each base point x0s[i], for a term P
+    whose coefficient c is a ``TabulatedCoeff``; the data's trailing axes
+    follow the base-point axis.
+
+    The form is sum_{y,t} g(y, t) c(x0_i + delta) with delta = y/t and
+    g = y_w S_t(y), where neither g nor delta depends on x0.  Base point i
+    puts delta in grid interval m when x_m - x0_i <= delta < x_{m+1} - x0_i,
+    so the thresholds x_m - x0_i over all (i, m), sorted, cut the delta
+    axis into buckets that every (base point, interval) pair covers whole.
+    One pass over the nodes takes each bucket's moments sum g (delta - e)^p
+    (p = 0..3) about its left edge e: summed per node first, then weighted
+    and summed pairwise over the nodes.  Base point i then shifts each
+    bucket by s = e - (x_m - x0_i) >= 0 and expands d^q = (delta - e + s)^q
+    binomially: every term is non-negative in the offsets, so nothing
+    cancels.  Below the grid hull c is its value at x_0 (interval 0 at
+    d = 0), above it its value at the last point (the last interval at its
+    width), and both take only the zeroth moment.
+    """
+    coeff = term.coefficient
+    breaks, coefs = coeff._breaks, coeff._coefs       # coefs[3 - q] goes with d^q
+    profile = family.profile
+    nodes = np.asarray(nodes, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    x0s = np.atleast_1d(np.asarray(x0s, dtype=float))
+    # The rounded thresholds define the buckets and, below, each bucket's
+    # interval and shift; recomputing them as x0_i + e would move whole
+    # buckets where the thresholds of two base points nearly coincide.
+    thresholds = breaks[None, :] - x0s[:, None]        # (base point, break)
+    edges = np.unique(thresholds)
+    moments = np.zeros((4, edges.size + 1), dtype=complex)
+    for lo in range(0, nodes.size, chunk):
+        ts = nodes[lo : lo + chunk]
+        # (node, y) layout: y is ascending, so each node's buckets come in runs
+        g = (profile.y_weights[:, None] * spectral_transform(family, term, ts)).T.ravel()
+        delta = np.outer(1.0 / ts, profile.y)
+        bucket = np.searchsorted(edges, delta, side="right")   # 0: below every edge
+        u = (delta - edges[np.maximum(bucket - 1, 0)]).ravel()
+        new_run = np.ones(bucket.shape, dtype=bool)
+        new_run[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
+        starts = np.flatnonzero(new_run)
+        # runs grouped by bucket, in node order, for pairwise sums over nodes
+        run_bucket = bucket.ravel()[starts]
+        order = np.argsort(run_bucket, kind="stable")
+        hit, first = np.unique(run_bucket[order], return_index=True)
+        run_weight = weights[lo + starts[order] // profile.y.size]
+        for p in range(4):
+            if p:
+                g = g * u
+            run = np.add.reduceat(g, starts)[order] * run_weight
+            moments[p, hit] += np.add.reduceat(run, first)
+
+    # Per (base point, bucket): the interval m (-1 below the hull, n - 1
+    # above it) and the shift s of the bucket's left edge into it.
+    n_int = breaks.size - 1
+    interval = np.full((x0s.size, edges.size + 1), -1)
+    interval[:, 1:] = [np.searchsorted(row, edges, side="right") - 1 for row in thresholds]
+    inside = (interval >= 0) & (interval < n_int)
+    m = np.clip(interval, 0, n_int - 1)
+    left = np.r_[edges[0], edges]
+    shift = np.where(
+        inside, left - np.take_along_axis(thresholds, m, axis=1),
+        np.where(interval < 0, 0.0, breaks[-1] - breaks[-2]),
+    )
+    mom = [np.broadcast_to(moments[0], shift.shape)] + [
+        np.where(inside, moments[p], 0.0) for p in (1, 2, 3)
+    ]
+    pieces = np.empty((4, x0s.size, n_int), dtype=complex)
+    bins = (np.arange(x0s.size)[:, None] * n_int + m).ravel()
+    for q in range(4):
+        part = sum(
+            math.comb(q, p) * shift ** (q - p) * mom[p] for p in range(q + 1)
+        ).ravel()
+        pieces[q] = (
+            np.bincount(bins, part.real, x0s.size * n_int)
+            + 1j * np.bincount(bins, part.imag, x0s.size * n_int)
+        ).reshape(x0s.size, n_int)
+    return np.tensordot(pieces, coefs[::-1], axes=([0, 2], [0, 1]))
+
+
 @dataclass(frozen=True)
 class RecoveryRow:
     term_index: int
@@ -438,36 +525,46 @@ class RecoverySession:
                 "enough for interpolation (>= 4 distinct points)"
             )
         self.N = float(N)
-        self.subtract_mode = subtract_mode
+        self.modes = ("oracle", "self") if subtract_mode == "both" else (subtract_mode,)
+        # the mode whose trajectories are kept: only x0_grid[0]'s are plotted
+        self.plotted_mode = "oracle" if subtract_mode == "both" else subtract_mode
         self.alert_threshold = float(alert_threshold)
 
-        # Per (term j, grid point i): the truth a_j(x0), the form (f_t|P f_t),
-        # which self-subtraction starts from, and the oracle-subtracted signal.
-        # Per earlier term k as well: the cardinal forms B[j, i, k], whose row
-        # l is the form of term k recovered with the values e_l on the grid.
+        # Per term j, over the grid points i: the truths a_j(x0_i); the oracle
+        # estimates w @ signal; the weighted forms w @ (f_t|P f_t), which
+        # self-subtraction starts from; and per earlier term k the matrix
+        # cardinal_sums[(j, k)] = B @ w, whose row i holds, for each l, the
+        # weighted form at x0_i of term k recovered with the values e_l.
+        # The node-length signals, and under subtract = self the cardinal
+        # forms B, are kept at x0_grid[0] alone, for the plotted trajectories.
         self.designs = {}
         self.truths = {}
-        self.forms = {}
-        self.oracle_signals = {}
-        self.cardinal_forms = {}
-        # B takes n_x0^2 x nodes complex values per (j, k): 0.4 GB at 50 grid
-        # points with 9.4k averaged nodes.
+        self.oracle_estimates = {}
+        self.weighted_forms = {}
+        self.cardinal_sums = {}
+        self.plotted_signals = {}
+        self.plotted_cardinals = {}
         cardinals = np.eye(self.x0_grid.size)
         for j in range(1, plan.k_beta + 1):
             design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
             self.designs[j] = design
             forms, signals = design.form_and_signal(model.observable, j, self.x0_grid)
-            cards = {
-                k: design.form(self.recovered_term(k, cardinals), self.x0_grid)
-                for k in range(1, j)
-                if subtract_mode != "oracle"
-            }
-            for i, x0 in enumerate(self.x0_grid):
-                self.truths[(j, i)] = float(model.truth(j, x0).real)
-                self.forms[(j, i)] = forms[i]
-                self.oracle_signals[(j, i)] = signals[i]
-                for k, B in cards.items():
-                    self.cardinal_forms[(j, i, k)] = B[i]
+            self.truths[j] = [float(model.truth(j, x0).real) for x0 in self.x0_grid]
+            self.oracle_estimates[j] = np.array([design.estimate(v) for v in signals])
+            self.weighted_forms[j] = np.array([design.estimate(v) for v in forms])
+            self.plotted_signals[j] = (
+                signals[0] if self.plotted_mode == "oracle" else forms[0]
+            )
+            self.plotted_cardinals[j] = []
+            if subtract_mode == "oracle":
+                continue
+            for k in range(1, j):
+                term = self.recovered_term(k, cardinals)
+                self.cardinal_sums[(j, k)] = spline_form_sums(
+                    design.family, design.nodes, design.weights, term, self.x0_grid
+                )
+                if self.plotted_mode == "self":
+                    self.plotted_cardinals[j].append(design.form(term, self.x0_grid[0]))
 
     def recovered_term(self, k: int, values: np.ndarray) -> HomogeneousTerm:
         """Term k with the coefficient interpolated through ``values`` on the
@@ -487,35 +584,27 @@ class RecoverySession:
     def run_seed(self, seed: int, trajectories: bool = True) -> EstimatorReport:
         """One trial: fresh noise on every signal, the estimate and its error
         per (subtraction, term, grid point).  With ``trajectories`` the
-        report also keeps each estimate's per-node contributions, whose
-        noise is the full path L z of the same draw z; the estimates take
-        only u @ z either way."""
+        report also keeps the per-node contributions of the plotted mode's
+        estimates at x0_grid[0], whose noise is the full path L z of the
+        same draw z; the estimates take only u @ z either way."""
         report = EstimatorReport(self.plan, [])
-        modes = ("oracle", "self") if self.subtract_mode == "both" else (self.subtract_mode,)
-        noise_seeds = {
-            (j, i): child_seed(seed, "recover", j, i)
-            for j in self.designs
-            for i in range(self.x0_grid.size)
+        grid = range(self.x0_grid.size)
+        noise = {
+            j: np.array([design.noise(child_seed(seed, "recover", j, i)) for i in grid])
+            for j, design in self.designs.items()
         }
-        noise = {key: self.designs[key[0]].noise(s) for key, s in noise_seeds.items()}
-        paths = {
-            key: self.designs[key[0]].noise_path(s) for key, s in noise_seeds.items()
-            if trajectories
-        }
-
-        for subtract in modes:
+        for subtract in self.modes:
             recovered = []
             for j, design in self.designs.items():
-                estimates = np.empty(self.x0_grid.size, dtype=complex)
+                if subtract == "oracle":
+                    estimates = self.oracle_estimates[j] + noise[j]
+                else:
+                    estimates = self.weighted_forms[j]
+                    for k, prior in enumerate(recovered, start=1):
+                        estimates = estimates - self.cardinal_sums[(j, k)] @ prior
+                    estimates = estimates + noise[j]
                 for i, x0 in enumerate(self.x0_grid):
-                    if subtract == "oracle":
-                        signal = self.oracle_signals[(j, i)]
-                    else:
-                        signal = self.forms[(j, i)]
-                        for k, prior in enumerate(recovered, start=1):
-                            signal = signal - prior @ self.cardinal_forms[(j, i, k)]
-                    estimates[i] = design.estimate(signal) + noise[(j, i)]
-                    truth = self.truths[(j, i)]
+                    truth = self.truths[j][i]
                     err = float(abs(estimates[i] - truth))
                     report.rows.append(
                         RecoveryRow(
@@ -534,11 +623,15 @@ class RecoverySession:
                     )
                     if err > self.alert_threshold:
                         report.alerts.append((subtract, j, float(x0), err))
-                    if trajectories:
-                        report.trajectories[(subtract, j, float(x0))] = (
-                            design.nodes,
-                            design.weights * (signal + paths[(j, i)]) * design.nodes.size,
-                        )
+                if trajectories and subtract == self.plotted_mode:
+                    signal = self.plotted_signals[j]
+                    for prior, B in zip(recovered, self.plotted_cardinals[j]):
+                        signal = signal - prior @ B
+                    path = design.noise_path(child_seed(seed, "recover", j, 0))
+                    report.trajectories[(subtract, j, float(self.x0_grid[0]))] = (
+                        design.nodes,
+                        design.weights * (signal + path) * design.nodes.size,
+                    )
                 recovered.append(estimates)
         return report
 

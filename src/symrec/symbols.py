@@ -225,6 +225,17 @@ def quadratic_form_diagonal(f: SpectralPatch, P) -> complex:
     return complex(total)
 
 
+def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> np.ndarray:
+    """S_t(y) of ``term`` (see ``packet_quadratic_form``) on the unit y grid,
+    shape (y, node) for the packet scales ``ts``.  It does not depend on x0."""
+    profile = family.profile
+    ts = np.asarray(ts, dtype=float)
+    centers = ts ** family.lam * family.xi0
+    xi_grid = centers[None, :] + np.outer(profile.eta, ts)  # (eta, k)
+    svals = term.spectral_factor(xi_grid)
+    return profile.unit_kernel @ (profile.chi_hat_eta[:, None] * svals)
+
+
 def packet_quadratic_form(
     family: WavePacketFamily, t_nodes, P, x0=None, chunk: int = 2048,
 ) -> np.ndarray:
@@ -255,10 +266,7 @@ def packet_quadratic_form(
         integrate = getattr(term.coefficient, "integrate", None)
         for lo in range(0, t_nodes.size, chunk):
             ts = t_nodes[lo : lo + chunk]
-            centers = ts ** family.lam * family.xi0
-            xi_grid = centers[None, :] + np.outer(profile.eta, ts)  # (eta, k)
-            svals = term.spectral_factor(xi_grid)
-            s_y = profile.unit_kernel @ (profile.chi_hat_eta[:, None] * svals)
+            s_y = spectral_transform(family, term, ts)
             offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
             if integrate is not None:
                 weighted = profile.y_weights[:, None] * s_y

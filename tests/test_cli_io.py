@@ -36,6 +36,23 @@ symbol_2_coeff = 0.5 + 0.2*cos(x)
 """
 
 
+def _assert_one_line_failure(tmp_path, capsys, command, line, code) -> str:
+    """Run ``command`` on the two-term config plus ``line``; it must exit with
+    ``code``, say why in one short stderr line and write no rows."""
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TWO_TERM_CFG + line + "\n")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(bad), "--out", str(out), "--quiet"]) == code
+    err = capsys.readouterr().err
+    # one short line: no numpy warning ahead of it, no traceback, and
+    # no more than a prefix of a long expression
+    assert err.count("\n") == 1
+    assert len(err) < 200
+    assert err.startswith("config error:" if code == 2 else "numerical failure:")
+    assert not list(out.glob("*_rows.csv"))
+    return err
+
+
 @pytest.fixture()
 def cfg_path(tmp_path):
     path = tmp_path / "exp.cfg"
@@ -176,17 +193,19 @@ class TestCommands:
         ],
     )
     def test_failure_contract(self, tmp_path, capsys, line, code):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text(TWO_TERM_CFG + line + "\n")
-        out = tmp_path / "o"
-        assert main(["recover", "--config", str(bad), "--out", str(out), "--quiet"]) == code
-        err = capsys.readouterr().err
-        # one short line: no numpy warning ahead of it, no traceback, and
-        # no more than a prefix of a long expression
-        assert err.count("\n") == 1
-        assert len(err) < 200
-        assert err.startswith("config error:" if code == 2 else "numerical failure:")
-        assert not (out / "recover_rows.csv").exists()
+        _assert_one_line_failure(tmp_path, capsys, "recover", line, code)
+
+    @pytest.mark.parametrize(
+        "command, line, key",
+        [
+            ("recover", "scale = 0", "scale"),
+            ("noise-stats", "scale = 0.5", "scale"),
+            ("rate", "grid = 0, 1, 2, 4", "grid"),
+        ],
+    )
+    def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):
+        err = _assert_one_line_failure(tmp_path, capsys, command, line, 2)
+        assert key in err
 
     def test_import_leaves_slow_scipy_modules_unloaded(self):
         # the CLI's start-up cost: each of these takes tenths of a second

@@ -12,6 +12,7 @@ from symrec.cli_io import ExperimentConfig, TermSpec, parse_config, serialize_co
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _float_lists = st.lists(_floats, max_size=4).map(tuple)
+_scales = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
 
 
 @settings(max_examples=200, deadline=None)
@@ -24,8 +25,8 @@ _float_lists = st.lists(_floats, max_size=4).map(tuple)
     noise=st.booleans(),
     subtract=st.sampled_from(["oracle", "self", "both"]),
     orders=_float_lists,
-    grid=_float_lists,
-    scale=_floats,
+    grid=st.lists(_scales, max_size=4).map(tuple),
+    scale=_scales,
     average_nodes=st.integers(0, 10**6),
     trials=st.integers(1, 10**6),
     seed=st.integers(-(2**63), 2**63),

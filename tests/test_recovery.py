@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -262,17 +264,35 @@ def test_noise_batch_is_the_weighted_path_batch(two_term_model, two_term_plan, j
 
 def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_plan):
     # the plotted contributions carry the full path L z, the rows u @ z of
-    # the same draw; rows do not depend on whether trajectories are kept
+    # the same draw; rows do not depend on whether trajectories are kept.
+    # Only the plotted mode (oracle under both) at the first grid point is kept.
+    grid = [-0.25, -0.5, 0.0, 0.25]
+    for mode, plotted in (("both", "oracle"), ("self", "self")):
+        session = RecoverySession(
+            two_term_model, two_term_plan, grid, 8.0, subtract_mode=mode
+        )
+        report = session.run_seed(5, trajectories=True)
+        assert sorted(report.trajectories) == [(plotted, 1, -0.25), (plotted, 2, -0.25)]
+        for r in report.rows:
+            if (r.subtract, r.term_index, r.x0) in report.trajectories:
+                _, contributions = report.trajectories[(r.subtract, r.term_index, r.x0)]
+                mean = np.mean(contributions)
+                assert abs(r.estimate - mean) <= 1e-12 * abs(mean)
+        assert session.run_seed(5, trajectories=False).rows == report.rows
+
+
+def test_both_mode_integrates_no_cardinal_forms(two_term_model, two_term_plan, monkeypatch):
+    # under both only the oracle trajectories are plotted: BW comes from the
+    # bucketed moments, and no cardinal form B is integrated
+    def refuse(self, x, weights):
+        raise AssertionError("TabulatedCoeff.integrate called")
+
+    monkeypatch.setattr(TabulatedCoeff, "integrate", refuse)
     session = RecoverySession(
         two_term_model, two_term_plan, [-0.5, -0.25, 0.0, 0.25], 8.0, subtract_mode="both"
     )
-    report = session.run_seed(5, trajectories=True)
-    assert len(report.trajectories) == len(report.rows) == 16
-    for r in report.rows:
-        _, contributions = report.trajectories[(r.subtract, r.term_index, r.x0)]
-        mean = np.mean(contributions)
-        assert abs(r.estimate - mean) <= 1e-12 * abs(mean)
-    assert session.run_seed(5, trajectories=False).rows == report.rows
+    session.run_seed(1, trajectories=True)
+    assert session.cardinal_sums[(2, 1)].shape == (4, 4)
 
 
 @pytest.fixture(scope="module")
@@ -286,23 +306,79 @@ def self_session(two_term_model, two_term_plan):
 
 def test_cardinal_forms_are_the_recovered_term_form(self_session, rng):
     # the spline is linear in its data and the form linear in the coefficient,
-    # so v @ B equals the form of the term recovered with values v
+    # so v @ BW equals the weighted form of the term recovered with values v
     session = self_session
     design = session.designs[2]
     v = rng.normal(size=5) + 1j * rng.normal(size=5)
     term = session.recovered_term(1, v)
     assert isinstance(term.coefficient, TabulatedCoeff)
     for i, x0 in enumerate(session.x0_grid):
-        direct = packet_quadratic_form(design.family, design.nodes, term, x0)
-        linear = v @ session.cardinal_forms[(2, i, 1)]
-        assert np.max(np.abs(linear - direct)) <= 1e-12 * np.max(np.abs(direct))
+        direct = packet_quadratic_form(design.family, design.nodes, term, x0) @ design.weights
+        linear = v @ session.cardinal_sums[(2, 1)][i]
+        assert abs(linear - direct) <= 1e-12 * abs(direct)
 
 
 def test_session_oracle_signals_match_the_design(self_session, two_term_model):
+    # the cached oracle estimates are the design's estimates of its signals
     session = self_session
-    for (j, i), signal in session.oracle_signals.items():
-        expected = session.designs[j].signal(two_term_model.observable, j, session.x0_grid[i])
-        assert np.array_equal(signal, expected)
+    for j, estimates in session.oracle_estimates.items():
+        design = session.designs[j]
+        expected = [
+            design.estimate(design.signal(two_term_model.observable, j, x0))
+            for x0 in session.x0_grid
+        ]
+        assert np.array_equal(estimates, expected)
+
+
+def test_oracle_signal_is_the_sum_of_the_later_terms(two_term_model):
+    design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, "averaged", 8.0, 16, False)
+    terms = two_term_model.observable.terms
+    form, signal = design.form_and_signal(two_term_model.observable, 2)
+    assert np.array_equal(signal, 0j + design.form(terms[1]))
+    assert np.array_equal(form, 0j + design.form(terms[0]) + design.form(terms[1]))
+
+
+class _Pointwise:
+    """A spline coefficient without ``integrate``: forms evaluate it per point."""
+
+    is_constant = False
+
+    def __init__(self, coefficient):
+        self.coefficient = coefficient
+
+    def __call__(self, x):
+        return self.coefficient(x)
+
+
+@pytest.mark.parametrize(
+    "grid, xi0",
+    [
+        pytest.param([0.25, -0.5, 0.5, 0.0, -0.25], 1.0, id="unsorted-5"),
+        pytest.param([-0.7, -0.55, -0.1, 0.05, 0.4, 0.45, 0.9], 1.0, id="nonuniform-7"),
+        pytest.param(np.linspace(-0.5, 0.5, 50), 1.0, id="uniform-50"),
+        pytest.param([0.25, -0.5, 0.5, 0.0, -0.25], -1.0, id="xi0-minus-1"),
+    ],
+)
+def test_cardinal_sums_match_the_pointwise_form(two_term_model, two_term_plan, grid, xi0):
+    # BW = B @ w from the bucketed moments, against each cardinal spline
+    # evaluated at every quadrature point, for every base point (hull ends
+    # included); on uniform grids the thresholds x_m - x0_i of different
+    # base points coincide up to rounding, which must not move whole buckets
+    model = dataclasses.replace(two_term_model, xi0=xi0)
+    session = RecoverySession(
+        model, two_term_plan, grid, 8.0, subtract_mode="self", n_nodes=64, noise=False
+    )
+    design = session.designs[2]
+    n = len(grid)
+    want = np.empty((n, n), dtype=complex)
+    for l in range(n):
+        term = session.recovered_term(1, np.eye(n)[l])
+        term = dataclasses.replace(term, coefficient=_Pointwise(term.coefficient))
+        want[:, l] = packet_quadratic_form(
+            design.family, design.nodes, term, session.x0_grid
+        ) @ design.weights
+    got = session.cardinal_sums[(2, 1)]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_session_rows_carry_the_truth_at_their_base_point(self_session, two_term_model):
