@@ -20,9 +20,7 @@ from .measurement_recovery import (
 )
 from .noise_engine import (
     NoiseKernel,
-    NoisePath,
     basis_oracle_batch,
-    basis_oracle_sample,
     build_kernel,
     sample_path,
     sample_paths,

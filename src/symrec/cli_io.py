@@ -109,6 +109,16 @@ class ExperimentConfig:
             raise ConfigError(f"cli_io: scale must be >= 1, got {self.scale!r}")
         if not all(t >= 1.0 for t in self.grid):
             raise ConfigError(f"cli_io: grid values must be >= 1, got {min(self.grid)!r}")
+        if not self.x0_grid:
+            raise ConfigError("cli_io: x0_grid must not be empty")
+        if not (self.rate_eps and all(e > 0.0 for e in self.rate_eps)):
+            raise ConfigError(f"cli_io: rate_eps values must be > 0, got {self.rate_eps!r}")
+        if not (self.rate_delta and all(0.0 < d <= 1.0 for d in self.rate_delta)):
+            raise ConfigError(
+                f"cli_io: rate_delta values must lie in (0, 1], got {self.rate_delta!r}"
+            )
+        if self.term < 1:
+            raise ConfigError(f"cli_io: term must be >= 1, got {self.term!r}")
         if self.trials < 1:
             raise ConfigError("cli_io: trials must be >= 1")
         if self.workers < 1:

@@ -24,8 +24,8 @@ node-length forms per row.  A recovery session builds BW once,
 without B, in one bucketed moment pass over the nodes
 (``spline_form_sums``); its trials subtract with one product each and no
 quadrature.  Only the plotted trajectory (subtract = self, at x0_grid[0])
-needs rows of B, which ``TabulatedCoeff.integrate`` builds through power
-moments per grid interval.
+needs node-length forms: those of the terms recovered in that trial,
+evaluated pointwise like any other coefficient.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ class TermDesign:
         """One joint draw over the nodes; zeros when the noise is off."""
         if self.kernel is None:
             return np.zeros(self.nodes.size, dtype=complex)
-        return sample_path(self.kernel, seed).values
+        return sample_path(self.kernel, seed)
 
     def noise(self, seed: int) -> complex:
         """The estimate's noise u @ z, with z the draw of ``noise_path(seed)``;
@@ -351,30 +351,6 @@ class TabulatedCoeff:
     def __call__(self, x):
         x = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
         return splines.evaluate(self._breaks, self._coefs, x)
-
-    def integrate(self, x, weights) -> np.ndarray:
-        """sum_y weights[y, k] * c(x[y, k]) for (y, k) arrays, with the data's
-        trailing axes before k.  The spline is a cubic in d = x - x_m on each
-        grid interval m, so this is the weights' moments sum_y w d^q per
-        (interval, k) times the spline's coefficients: its cost does not
-        grow with the trailing axes, as that of evaluating c(x) does."""
-        breaks, coefs = self._breaks, self._coefs   # coefs[3 - q] goes with d^q
-        x = np.clip(np.asarray(x, dtype=float), self._lo, self._hi)
-        m = np.clip(np.searchsorted(breaks, x, side="right") - 1, 0, breaks.size - 2)
-        d = x - breaks[m]
-        n_k = x.shape[1]
-        bins = (m * n_k + np.arange(n_k)).ravel()
-        size = (breaks.size - 1) * n_k
-        moments = np.empty((4, breaks.size - 1, n_k), dtype=complex)
-        w = np.asarray(weights, dtype=complex)
-        for q in range(4):
-            if q:
-                w = w * d
-            moments[q] = (
-                np.bincount(bins, w.real.ravel(), size)
-                + 1j * np.bincount(bins, w.imag.ravel(), size)
-            ).reshape(-1, n_k)
-        return np.tensordot(coefs[::-1], moments, axes=([0, 1], [0, 1]))
 
 
 def spline_form_sums(
@@ -535,15 +511,14 @@ class RecoverySession:
         # self-subtraction starts from; and per earlier term k the matrix
         # cardinal_sums[(j, k)] = B @ w, whose row i holds, for each l, the
         # weighted form at x0_i of term k recovered with the values e_l.
-        # The node-length signals, and under subtract = self the cardinal
-        # forms B, are kept at x0_grid[0] alone, for the plotted trajectories.
+        # The node-length signals are kept at x0_grid[0] alone, for the
+        # plotted trajectories.
         self.designs = {}
         self.truths = {}
         self.oracle_estimates = {}
         self.weighted_forms = {}
         self.cardinal_sums = {}
         self.plotted_signals = {}
-        self.plotted_cardinals = {}
         cardinals = np.eye(self.x0_grid.size)
         for j in range(1, plan.k_beta + 1):
             design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
@@ -555,7 +530,6 @@ class RecoverySession:
             self.plotted_signals[j] = (
                 signals[0] if self.plotted_mode == "oracle" else forms[0]
             )
-            self.plotted_cardinals[j] = []
             if subtract_mode == "oracle":
                 continue
             for k in range(1, j):
@@ -563,8 +537,6 @@ class RecoverySession:
                 self.cardinal_sums[(j, k)] = spline_form_sums(
                     design.family, design.nodes, design.weights, term, self.x0_grid
                 )
-                if self.plotted_mode == "self":
-                    self.plotted_cardinals[j].append(design.form(term, self.x0_grid[0]))
 
     def recovered_term(self, k: int, values: np.ndarray) -> HomogeneousTerm:
         """Term k with the coefficient interpolated through ``values`` on the
@@ -625,8 +597,10 @@ class RecoverySession:
                         report.alerts.append((subtract, j, float(x0), err))
                 if trajectories and subtract == self.plotted_mode:
                     signal = self.plotted_signals[j]
-                    for prior, B in zip(recovered, self.plotted_cardinals[j]):
-                        signal = signal - prior @ B
+                    if subtract == "self":
+                        for k, prior in enumerate(recovered, start=1):
+                            term = self.recovered_term(k, prior)
+                            signal = signal - design.form(term, self.x0_grid[0])
                     path = design.noise_path(child_seed(seed, "recover", j, 0))
                     report.trajectories[(subtract, j, float(self.x0_grid[0]))] = (
                         design.nodes,

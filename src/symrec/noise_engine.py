@@ -192,19 +192,6 @@ class NoiseKernel:
         return out
 
 
-@dataclass(frozen=True)
-class NoisePath:
-    """One joint sample of the error values over the kernel's nodes."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        if np.asarray(self.values).shape != np.asarray(self.nodes).shape:
-            raise ValueError("noise_engine: path length must match the node set")
-
-
 def build_kernel(
     family: WavePacketFamily,
     nodes,
@@ -263,17 +250,18 @@ def _upper_bands(cov: scipy.sparse.coo_matrix) -> tuple[tuple, tuple]:
     )
 
 
-def sample_path(kernel: NoiseKernel, seed: int) -> NoisePath:
-    """One joint draw: values = L z with z iid circular complex normals."""
+def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:
+    """One joint draw over the kernel's nodes: L z with z iid circular
+    complex normals."""
     rng = rng_for(seed, "noise-path")
     z = standard_complex_normal(rng, kernel.size)
-    return NoisePath(kernel.nodes, kernel.apply_factor(z), int(seed))
+    return kernel.apply_factor(z)
 
 
 def sample_functional(u: np.ndarray, seed: int) -> complex:
     """u @ z for the z that ``sample_path`` draws at ``seed``.  With
     u = kernel.apply_factor_transpose(w) this is w @ sample_path(kernel,
-    seed).values up to rounding, at the cost of the draw alone."""
+    seed) up to rounding, at the cost of the draw alone."""
     return complex_normal_dot(rng_for(seed, "noise-path"), u)
 
 
@@ -352,17 +340,3 @@ def basis_oracle_batch(
         )
         out[lo : lo + nb] = np.einsum("kn,bnm,km->bk", u, x, v)
     return out
-
-
-def basis_oracle_sample(
-    family: WavePacketFamily,
-    nodes,
-    beta: float,
-    truncation: int = 128,
-    seed: int = 0,
-    points_per_min_window: int = 32,
-) -> NoisePath:
-    values = basis_oracle_batch(
-        family, nodes, beta, truncation, seed, 1, points_per_min_window
-    )[0]
-    return NoisePath(np.atleast_1d(np.asarray(nodes, dtype=float)), values, int(seed))

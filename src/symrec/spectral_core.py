@@ -104,10 +104,6 @@ def l2_norm(patch: SpectralPatch) -> float:
     return float(np.sqrt(max(inner_product_l2(patch, patch).real, 0.0)))
 
 
-def sobolev_norm(patch: SpectralPatch, weight: JapaneseBracketWeight) -> float:
-    return float(np.sqrt(max(inner_product_sobolev(patch, patch, weight).real, 0.0)))
-
-
 def _aligned_shift(f: SpectralPatch, g: SpectralPatch) -> Optional[int]:
     """Integer grid offset of g relative to f, or None if incommensurate."""
     df, dg = f.window.spacing, g.window.spacing

@@ -255,6 +255,8 @@ def nonconvergence_experiment(
     variance is returned alongside the empirical curve.
     """
     grid = np.asarray(grid, dtype=float)
+    if not 1 <= j <= len(model.observable.terms):
+        raise ConfigError(f"stats_harness: term {j} is outside the symbol")
     m_j = model.observable.terms[j - 1].order
     if mode == "plain":
         if m_j > 2.0 * model.beta:
@@ -360,6 +362,8 @@ def rate_certificate_experiment(
     makes N0 monotone in eps by construction.  A cell fails when no grid
     point has all larger scales succeeding.
     """
+    if not 1 <= j <= plan.k_beta:
+        raise ConfigError(f"stats_harness: term {j} is outside 1..k_beta = {plan.k_beta}")
     n_grid = np.asarray(n_grid, dtype=float)
     eps_list = tuple(float(e) for e in eps_list)
     delta_list = tuple(float(d) for d in delta_list)
@@ -483,7 +487,7 @@ def trajectory_as_convergence_check(
     if noise:
         kernel = build_kernel(model.family_for(lam), all_nodes, model.beta)
         path = sample_path(kernel, child_seed(seed, "trajectory", j))
-        noise_by_node = dict(zip(all_nodes.tolist(), path.values))
+        noise_by_node = dict(zip(all_nodes.tolist(), path))
 
     truth = model.truth(j).real
     estimates = np.empty(n_sequence.size, dtype=complex)

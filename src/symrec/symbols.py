@@ -253,32 +253,22 @@ def packet_quadratic_form(
 
     S_j,t does not depend on x0, so it is computed once per term and node
     chunk and shared by every base point.  An array ``x0`` adds a leading
-    base-point axis to the result.  A coefficient with an
-    ``integrate(x, weights)`` method computes the y-sum itself; a
-    vector-valued one (trailing axes on its values) adds those axes
-    before the nodes.
+    base-point axis to the result.
     """
     profile = family.profile
     x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
-    out = None
+    out = np.zeros((x0s.size, t_nodes.size), dtype=complex)
     for term in _as_terms(P):
-        integrate = getattr(term.coefficient, "integrate", None)
         for lo in range(0, t_nodes.size, chunk):
             ts = t_nodes[lo : lo + chunk]
             s_y = spectral_transform(family, term, ts)
             offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
-            if integrate is not None:
-                weighted = profile.y_weights[:, None] * s_y
             for i, base in enumerate(x0s):
-                if integrate is None:
-                    cvals = np.asarray(term.coefficient(base + offsets))
-                    form = np.einsum("y,yk,yk->k", profile.y_weights, cvals, s_y)
-                else:
-                    form = integrate(base + offsets, weighted)
-                if out is None:
-                    out = np.zeros((x0s.size, *form.shape[:-1], t_nodes.size), complex)
-                out[i, ..., lo : lo + chunk] += form
+                cvals = np.asarray(term.coefficient(base + offsets))
+                out[i, lo : lo + chunk] += np.einsum(
+                    "y,yk,yk->k", profile.y_weights, cvals, s_y
+                )
     return out if np.ndim(x0) else out[0]
 
 

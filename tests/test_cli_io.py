@@ -201,6 +201,19 @@ class TestCommands:
             ("recover", "scale = 0", "scale"),
             ("noise-stats", "scale = 0.5", "scale"),
             ("rate", "grid = 0, 1, 2, 4", "grid"),
+            ("nonconvergence", "term = 0", "term"),
+            ("nonconvergence", "term = 3", "term"),
+            ("rate", "term = 0", "term"),
+            ("rate", "term = -1", "term"),
+            ("rate", "term = 3", "term"),
+            ("rate", "rate_delta = 0", "rate_delta"),
+            ("rate", "rate_delta = 1.5", "rate_delta"),
+            ("rate", "rate_delta =", "rate_delta"),
+            ("rate", "rate_eps = 0", "rate_eps"),
+            ("rate", "rate_eps = -1", "rate_eps"),
+            ("rate", "rate_eps =", "rate_eps"),
+            ("recover", "x0_grid =", "x0_grid"),
+            ("noise-stats", "x0_grid =", "x0_grid"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):

@@ -13,13 +13,15 @@ from symrec.cli_io import ExperimentConfig, TermSpec, parse_config, serialize_co
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _float_lists = st.lists(_floats, max_size=4).map(tuple)
 _scales = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 
 @settings(max_examples=200, deadline=None)
 @given(cfg=st.builds(
     ExperimentConfig,
     beta=_floats,
-    x0_grid=_float_lists,
+    x0_grid=st.lists(_floats, min_size=1, max_size=4).map(tuple),
     xi0=st.sampled_from([1.0, -1.0]),
     profile_sharpness=st.floats(min_value=1e-6, max_value=1e6),
     noise=st.booleans(),
@@ -35,8 +37,8 @@ _scales = st.floats(min_value=1.0, allow_nan=False, allow_infinity=False)
     term=st.integers(1, 9),
     mode=st.sampled_from(["plain", "averaged"]),
     threshold=_floats,
-    rate_eps=_float_lists,
-    rate_delta=_float_lists,
+    rate_eps=st.lists(_positive, min_size=1, max_size=4).map(tuple),
+    rate_delta=st.lists(_probabilities, min_size=1, max_size=4).map(tuple),
     lambda_overrides=st.dictionaries(st.integers(1, 9), _floats).map(
         lambda d: tuple(sorted(d.items()))
     ),

@@ -11,7 +11,6 @@ from symrec.noise_engine import (
     _lattice_index_range,
     _node_patch_matrix,
     basis_oracle_batch,
-    basis_oracle_sample,
     build_kernel,
     sample_functional,
     sample_path,
@@ -70,7 +69,7 @@ def test_same_seed_same_path(base_family):
     kernel = build_kernel(base_family, [8.0, 8.05], 0.0)
     p1 = sample_path(kernel, 987654321)
     p2 = sample_path(kernel, 987654321)
-    assert np.array_equal(p1.values, p2.values)
+    assert np.array_equal(p1, p2)
 
 
 def test_isometry_and_circular_symmetry(base_family):
@@ -120,7 +119,7 @@ def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
     want = w @ L
     assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
     for seed in (5, 2**63 + 11):
-        path = sample_path(kernel, seed).values
+        path = sample_path(kernel, seed)
         scale = np.sqrt(kernel.quad_form(w))
         assert abs(sample_functional(u, seed) - w @ path) <= 1e-12 * scale
 
@@ -176,16 +175,10 @@ class TestBasisOracle:
 
     def test_window_escape_signals(self, base_family):
         with pytest.raises(ConfigError, match="truncated lattice"):
-            basis_oracle_sample(
+            basis_oracle_batch(
                 base_family, [4.0, 16.0], 0.0, truncation=128,
                 points_per_min_window=32,
             )
-
-    def test_single_sample_path_wrapper(self, base_family):
-        path = basis_oracle_sample(base_family, self.NODES, 0.0, seed=9)
-        assert path.values.shape == (3,)
-        again = basis_oracle_sample(base_family, self.NODES, 0.0, seed=9)
-        assert np.array_equal(path.values, again.values)
 
 
 def test_nodes_must_increase(base_family):

@@ -281,20 +281,6 @@ def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_
         assert session.run_seed(5, trajectories=False).rows == report.rows
 
 
-def test_both_mode_integrates_no_cardinal_forms(two_term_model, two_term_plan, monkeypatch):
-    # under both only the oracle trajectories are plotted: BW comes from the
-    # bucketed moments, and no cardinal form B is integrated
-    def refuse(self, x, weights):
-        raise AssertionError("TabulatedCoeff.integrate called")
-
-    monkeypatch.setattr(TabulatedCoeff, "integrate", refuse)
-    session = RecoverySession(
-        two_term_model, two_term_plan, [-0.5, -0.25, 0.0, 0.25], 8.0, subtract_mode="both"
-    )
-    session.run_seed(1, trajectories=True)
-    assert session.cardinal_sums[(2, 1)].shape == (4, 4)
-
-
 @pytest.fixture(scope="module")
 def self_session(two_term_model, two_term_plan):
     # an unsorted grid: TabulatedCoeff sorts it, the cardinals must follow
@@ -338,18 +324,6 @@ def test_oracle_signal_is_the_sum_of_the_later_terms(two_term_model):
     assert np.array_equal(form, 0j + design.form(terms[0]) + design.form(terms[1]))
 
 
-class _Pointwise:
-    """A spline coefficient without ``integrate``: forms evaluate it per point."""
-
-    is_constant = False
-
-    def __init__(self, coefficient):
-        self.coefficient = coefficient
-
-    def __call__(self, x):
-        return self.coefficient(x)
-
-
 @pytest.mark.parametrize(
     "grid, xi0",
     [
@@ -373,7 +347,6 @@ def test_cardinal_sums_match_the_pointwise_form(two_term_model, two_term_plan, g
     want = np.empty((n, n), dtype=complex)
     for l in range(n):
         term = session.recovered_term(1, np.eye(n)[l])
-        term = dataclasses.replace(term, coefficient=_Pointwise(term.coefficient))
         want[:, l] = packet_quadratic_form(
             design.family, design.nodes, term, session.x0_grid
         ) @ design.weights
@@ -398,37 +371,3 @@ def test_base_point_array_matches_scalar_calls(two_term_model):
     assert rows.shape == (3, 7)
     for i, x0 in enumerate(x0s):
         assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0, chunk=3))
-
-
-def test_vector_coefficient_matches_its_columns(self_session):
-    # the cardinal forms in one vector-valued call, in small node chunks,
-    # against one scalar spline per cardinal
-    session = self_session
-    design = session.designs[2]
-    n = session.x0_grid.size
-    x0s = session.x0_grid[:2]
-    B = packet_quadratic_form(
-        design.family, design.nodes, session.recovered_term(1, np.eye(n)), x0s, chunk=5
-    )
-    assert B.shape == (2, n, design.nodes.size)
-    for l in range(n):
-        direct = packet_quadratic_form(
-            design.family, design.nodes, session.recovered_term(1, np.eye(n)[l]), x0s
-        )
-        assert np.max(np.abs(B[:, l] - direct)) <= 1e-12 * np.max(np.abs(direct))
-
-
-def test_tabulated_integrate_matches_pointwise_sum(rng):
-    # moments per grid interval times the spline's coefficients, against the
-    # spline evaluated at every point: on the grid points, past both ends of
-    # an unsorted grid, for scalar and vector-valued data
-    grid = np.array([0.25, -0.5, 0.5, 0.0, -0.25])
-    x = rng.uniform(-0.8, 0.8, size=(40, 6))
-    x[:5, 0] = grid
-    weights = rng.normal(size=(40, 6)) + 1j * rng.normal(size=(40, 6))
-    for values in (rng.normal(size=5), np.eye(5), rng.normal(size=(5, 2, 3))):
-        coeff = TabulatedCoeff(grid, values)
-        direct = np.moveaxis(np.einsum("yk,yk...->k...", weights, coeff(x)), 0, -1)
-        got = coeff.integrate(x, weights)
-        assert got.shape == direct.shape
-        assert np.max(np.abs(got - direct)) <= 1e-12 * np.max(np.abs(direct))
