@@ -12,27 +12,15 @@ from .measurement_recovery import (
     OrderPlan,
     RecoverySession,
     TermDesign,
-    averaged_estimate,
-    measure,
-    plain_estimate,
     plan_orders,
-    recover_expansion,
 )
 from .noise_engine import (
+    JapaneseBracketWeight,
     NoiseKernel,
     basis_oracle_batch,
     build_kernel,
     sample_path,
     sample_paths,
-)
-from .spectral_core import (
-    FrequencyWindow,
-    JapaneseBracketWeight,
-    SpectralPatch,
-    evaluate_physical,
-    inner_product_l2,
-    inner_product_sobolev,
-    l2_norm,
 )
 from .stats_harness import (
     DeviationCurve,
@@ -47,19 +35,14 @@ from .stats_harness import (
 from .symbols import (
     HomogeneousTerm,
     Observable,
-    PhysicalGrid,
     SymbolExpansion,
     asymptotic_error_probe,
-    eval_symbol,
     packet_quadratic_form,
-    quadratic_form,
 )
 from .wave_packets import (
     PacketProfile,
     WavePacketFamily,
-    make_packet,
     make_profile,
-    packet_overlap_decay,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

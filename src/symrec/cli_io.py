@@ -21,7 +21,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,6 +52,7 @@ COMMANDS = (
 )
 
 SCHEMA_VERSION = 1
+DEFAULT_LAMBDA = 2.0   # packet growth rate of the statistics commands without lambda_<j>
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class ExperimentConfig:
         # packet scales: the packets and the symbols' homogeneity need t >= 1
         if not self.scale >= 1.0:
             raise ConfigError(f"cli_io: scale must be >= 1, got {self.scale!r}")
+        if not self.grid:
+            raise ConfigError("cli_io: grid must not be empty")
         if not all(t >= 1.0 for t in self.grid):
             raise ConfigError(f"cli_io: grid values must be >= 1, got {min(self.grid)!r}")
         if not self.x0_grid:
@@ -117,6 +119,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"cli_io: rate_delta values must lie in (0, 1], got {self.rate_delta!r}"
             )
+        if not self.threshold > 0.0:
+            raise ConfigError(f"cli_io: threshold must be > 0, got {self.threshold!r}")
         if self.term < 1:
             raise ConfigError(f"cli_io: term must be >= 1, got {self.term!r}")
         if self.trials < 1:
@@ -316,15 +320,10 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
-def emit_plot_data(out_dir: Path, name: str, columns: dict, header: str = "") -> Path | None:
-    """Write one plot series as whitespace-separated text columns.
-
-    Returns the path, or None (with a warning) when the series is empty.
-    """
+def emit_plot_data(out_dir: Path, name: str, columns: dict, header: str = "") -> Path:
+    """Write one plot series as whitespace-separated text columns and return
+    its path.  Every command plots a non-empty grid."""
     arrays = [np.atleast_1d(np.asarray(v, dtype=float)) for v in columns.values()]
-    if not arrays or arrays[0].size == 0:
-        warnings.warn(f"cli_io: empty series for plot {name!r}; no file written")
-        return None
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.txt"
     lines = []
@@ -384,11 +383,11 @@ def _build_plan(cfg: ExperimentConfig):
     )
 
 
-def _lambda_for(cfg: ExperimentConfig, j: int, default: float = 2.0) -> float:
+def _lambda_for(cfg: ExperimentConfig, j: int) -> float:
     for idx, lam in cfg.lambda_overrides:
         if idx == j:
             return lam
-    return default
+    return DEFAULT_LAMBDA
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +774,7 @@ def run_command(
         plot_paths = []
         for plot_name, (columns, header) in plots.items():
             p = emit_plot_data(out / "plots", plot_name, columns, header)
-            if p is not None:
-                plot_paths.append(str(p.relative_to(out)))
+            plot_paths.append(str(p.relative_to(out)))
         manifest = {
             "command": name,
             "config_sha256": digest,

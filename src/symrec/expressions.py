@@ -131,10 +131,6 @@ class CoeffExpr:
         return np.broadcast_to(np.asarray(out, dtype=float), np.shape(x)).copy() \
             if np.ndim(out) == 0 and np.ndim(x) > 0 else out
 
-    @property
-    def is_constant(self) -> bool:
-        return "x" not in self._code.co_names
-
 
 def parse_coeff(text: str) -> CoeffExpr:
     expr = CoeffExpr(text.strip())

@@ -48,6 +48,7 @@ from .wave_packets import PacketProfile, WavePacketFamily
 AVERAGE_RESOLUTION = 4.0
 MIN_AVERAGE_NODES = 64
 MAX_AVERAGE_NODES = 32768
+SPLINE_FORM_CHUNK = 2048          # nodes per moment pass of spline_form_sums
 
 
 @dataclass(frozen=True)
@@ -150,15 +151,13 @@ def plan_orders(
     return OrderPlan(tuple(m), float(beta), j_beta, k_beta, tuple(lambdas), tuple(modes))
 
 
-def adaptive_average_nodes(
-    N: float, lam: float, resolution: float = AVERAGE_RESOLUTION
-) -> int:
+def adaptive_average_nodes(N: float, lam: float) -> int:
     """Midpoint node count for the t-average on [N, 2N].
 
     Packet overlaps decorrelate once (s^lam - t^lam)/N moves by order one;
-    the grid keeps ``resolution`` nodes per unit of that variable.
+    the grid keeps ``AVERAGE_RESOLUTION`` nodes per unit of that variable.
     """
-    needed = math.ceil(resolution * lam * (2.0 * N) ** (lam - 1.0))
+    needed = math.ceil(AVERAGE_RESOLUTION * lam * (2.0 * N) ** (lam - 1.0))
     k = max(MIN_AVERAGE_NODES, needed)
     if k > MAX_AVERAGE_NODES:
         raise NumericalError(
@@ -273,64 +272,6 @@ class TermDesign:
         ], dtype=complex)
 
 
-def measure(
-    model: MeasurementModel,
-    t: float,
-    lam: float,
-    j: int,
-    noise_value: complex = 0.0,
-    x0: float | None = None,
-) -> complex:
-    """One measurement of P_j = P - sum_{k<j} Q_k at packet scale t."""
-    design = TermDesign(model.family_for(lam, x0), model.beta, 0.0, "plain", t, noise=False)
-    return complex(design.signal(model.observable, j)[0] + noise_value)
-
-
-def _require_mode(plan: OrderPlan, j: int, expected: str, op: str) -> None:
-    if j < 1 or j > plan.k_beta:
-        raise ConfigError(f"measurement_recovery: {op}: term index {j} outside plan")
-    if plan.mode(j) != expected:
-        raise ConfigError(
-            f"measurement_recovery: {op}: term {j} is {plan.mode(j)}-mode, "
-            f"not {expected} (j_beta={plan.j_beta}, k_beta={plan.k_beta})"
-        )
-
-
-def _single_estimate(model, plan, j, N, n_nodes, seed, noise, x0, tag) -> complex:
-    design = TermDesign.for_term(model, plan, j, N, n_nodes, noise, x0)
-    signal = design.signal(model.observable, j)
-    return design.estimate(signal) + design.noise(child_seed(seed, tag, j))
-
-
-def plain_estimate(
-    model: MeasurementModel,
-    plan: OrderPlan,
-    j: int,
-    N: float,
-    seed: int = 0,
-    noise: bool = True,
-    x0: float | None = None,
-) -> complex:
-    """Single-packet estimator for a plain-mode term."""
-    _require_mode(plan, j, "plain", "plain_estimate")
-    return _single_estimate(model, plan, j, N, None, seed, noise, x0, "plain")
-
-
-def averaged_estimate(
-    model: MeasurementModel,
-    plan: OrderPlan,
-    j: int,
-    N: float,
-    n_nodes: int | None = None,
-    seed: int = 0,
-    noise: bool = True,
-    x0: float | None = None,
-) -> complex:
-    """Ergodic-averaged estimator for an averaged-mode term."""
-    _require_mode(plan, j, "averaged", "averaged_estimate")
-    return _single_estimate(model, plan, j, N, n_nodes, seed, noise, x0, "avg")
-
-
 # ---------------------------------------------------------------------------
 # Full recovery pipeline
 # ---------------------------------------------------------------------------
@@ -340,8 +281,6 @@ class TabulatedCoeff:
     """Reconstructed coefficient: cubic interpolation through the recovered
     values on the x0 grid, held constant beyond the grid hull (the packet
     envelope carries negligible mass there)."""
-
-    is_constant = False
 
     def __init__(self, x_grid: np.ndarray, values: np.ndarray):
         self._breaks, self._coefs = splines.not_a_knot(x_grid, values)
@@ -355,7 +294,6 @@ class TabulatedCoeff:
 
 def spline_form_sums(
     family: WavePacketFamily, nodes, weights, term: HomogeneousTerm, x0s,
-    chunk: int = 2048,
 ) -> np.ndarray:
     """sum_t weights_t (f_t|P f_t) at each base point x0s[i], for a term P
     whose coefficient c is a ``TabulatedCoeff``; the data's trailing axes
@@ -387,8 +325,8 @@ def spline_form_sums(
     thresholds = breaks[None, :] - x0s[:, None]        # (base point, break)
     edges = np.unique(thresholds)
     moments = np.zeros((4, edges.size + 1), dtype=complex)
-    for lo in range(0, nodes.size, chunk):
-        ts = nodes[lo : lo + chunk]
+    for lo in range(0, nodes.size, SPLINE_FORM_CHUNK):
+        ts = nodes[lo : lo + SPLINE_FORM_CHUNK]
         # (node, y) layout: y is ascending, so each node's buckets come in runs
         g = (profile.y_weights[:, None] * spectral_transform(family, term, ts)).T.ravel()
         delta = np.outer(1.0 / ts, profile.y)
@@ -608,26 +546,3 @@ class RecoverySession:
                     )
                 recovered.append(estimates)
         return report
-
-
-def recover_expansion(
-    model: MeasurementModel,
-    plan: OrderPlan,
-    x0_grid,
-    xi0: float,
-    N: float,
-    subtract_mode: str = "oracle",
-    seed: int = 0,
-    n_nodes: int | None = None,
-    noise: bool = True,
-    alert_threshold: float = 0.5,
-) -> EstimatorReport:
-    """Recover a_1 .. a_{k_beta} on a grid of base points for one trial."""
-    if xi0 != model.xi0:
-        model = MeasurementModel(
-            model.observable, model.beta, model.x0, float(xi0), model.profile
-        )
-    session = RecoverySession(
-        model, plan, x0_grid, N, subtract_mode, n_nodes, alert_threshold, noise
-    )
-    return session.run_seed(seed)

@@ -10,9 +10,14 @@ exact for any finite node set and O(K^2) at worst.  A full path L z is
 formed only where the path itself is the output (``sample_path``,
 ``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
 u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
-``sample_functional`` draws from the same z without forming L z.  A direct
-truncated basis expansion (``basis_oracle_*``) exists purely to certify
-that the kernel route produces the same law.
+``sample_functional`` draws from the same z without forming L z.
+
+``basis_oracle_batch`` realizes the error directly, as a truncated
+expansion over lattice bumps with iid Gaussian coefficients, purely to
+certify that the kernel route produces the same law.  It reads the packet
+spectra from the same patch matrix as the kernel (``_node_patch_matrix``),
+so the two routes share the spectra and differ in everything after them.
+The Sobolev weight (1 + |xi|^2)^beta of both is ``JapaneseBracketWeight``.
 """
 
 from __future__ import annotations
@@ -25,12 +30,23 @@ import scipy.sparse
 
 from .errors import ConfigError, NumericalError
 from .rng import complex_normal_dot, rng_for, standard_complex_normal
-from .spectral_core import JapaneseBracketWeight
 from .wave_packets import WavePacketFamily, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
 _PSD_TOL = 1e-10
 _PATCH_BLOCK = 2 ** 20
+
+
+@dataclass(frozen=True)
+class JapaneseBracketWeight:
+    """Sobolev weight (1 + |xi|^2)^beta."""
+
+    beta: float = 0.0
+
+    def __call__(self, xi: np.ndarray) -> np.ndarray:
+        if self.beta == 0.0:
+            return np.ones_like(np.asarray(xi, dtype=float))
+        return (1.0 + np.asarray(xi, dtype=float) ** 2) ** self.beta
 
 
 def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[int, int]:
@@ -44,10 +60,12 @@ def _node_patch_matrix(
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
     """Sparse matrix of packet spectra on the shared lattice.
 
-    Row k holds the samples of fhat_{t_k}; columns are lattice points.
-    Returns the matrix and the lattice frequencies of its columns.  The
-    entries are those of ``family.spectrum`` row by row, with the same
-    arithmetic per entry, evaluated in one pass over all of them.
+    Row k holds the samples of
+    fhat_{t_k}(xi) = t_k^(-1/2) exp(-i*xi*x0) chi_hat((xi - t_k^lam*xi0)/t_k)
+    over the lattice points of its window; columns are lattice points, and
+    the spectrum vanishes at every column outside the row's window.
+    Returns the matrix and the lattice frequencies of its columns.  All
+    entries are evaluated in one pass.
     """
     ts = [float(t) for t in nodes]
     centers = [family.center(t) for t in ts]
@@ -284,32 +302,21 @@ def _oracle_coefficients(
     points_per_min_window: int,
 ):
     spacing = lattice_spacing_for(nodes, points_per_min_window)
-    k_sets = [
-        _lattice_index_range(family.center(t), t, spacing) for t in nodes
-    ]
-    k_lo = min(r[0] for r in k_sets)
-    k_hi = max(r[1] for r in k_sets)
-    g_idx = np.arange(k_lo, k_hi + 1)
-    if g_idx.size > truncation:
+    mat, xi_g = _node_patch_matrix(family, nodes, spacing)
+    if xi_g.size > truncation:
         raise ConfigError(
             "noise_engine: node windows escape the truncated lattice "
-            f"({g_idx.size} > {truncation} frequencies)"
+            f"({xi_g.size} > {truncation} frequencies)"
         )
-    xi_g = (g_idx + 0.5) * spacing
-    xi_f = -xi_g[::-1]  # reflected lattice points, ascending
-
     weight = JapaneseBracketWeight(beta)
-    wg = np.sqrt(weight(xi_g) * spacing)
-    wf = np.sqrt(weight(xi_f) * spacing)
+    spectra = mat.toarray()
 
     # Basis: lattice bumps e_n with hat(e_n)(xi_k) = delta_nk / sqrt(w_n dxi).
     # (f|e_n)_beta = conj(fhat(xi_n)) sqrt(w_n dxi); the first slot carries
-    # the conjugated packet, whose transform is conj(fhat(-xi)).
-    u = np.empty((nodes.size, xi_f.size), dtype=complex)
-    v = np.empty((nodes.size, xi_g.size), dtype=complex)
-    for k, t in enumerate(nodes):
-        u[k] = family.spectrum(float(t), -xi_f) * wf
-        v[k] = np.conj(family.spectrum(float(t), xi_g)) * wg
+    # the conjugated packet, whose transform conj(fhat(-xi)) lives on the
+    # reflected lattice -xi_g[::-1].
+    u = spectra[:, ::-1] * np.sqrt(weight(-xi_g[::-1]) * spacing)
+    v = np.conj(spectra) * np.sqrt(weight(xi_g) * spacing)
     return u, v
 
 

@@ -26,10 +26,13 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
-from .noise_engine import build_kernel, sample_path
+from .noise_engine import JapaneseBracketWeight, build_kernel, sample_path
 from .rng import child_seed, rng_for, standard_complex_normal
-from .spectral_core import JapaneseBracketWeight
 from .wave_packets import WavePacketFamily
+
+WILSON_Z = 1.0            # Wilson interval half-width in standard errors
+BAND_Z_SLACK = 3.0        # Wilson half-widths a deviation curve may stray
+TRAJECTORY_BURN_IN = 1    # leading scales the trajectory tube does not check
 
 
 # ---------------------------------------------------------------------------
@@ -65,10 +68,11 @@ class SlopeRegression:
         return cls(x, y, slope, intercept, stderr)
 
 
-def wilson_interval(successes: int, n: int, z: float = 1.0) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """Wilson score center and half-width; well behaved near 0 and 1."""
     if n <= 0:
         raise ConfigError("stats_harness: Wilson interval needs n >= 1")
+    z = WILSON_Z
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
@@ -222,16 +226,16 @@ class DeviationCurve:
     p_closed_form: np.ndarray
     det_offset: np.ndarray
 
-    def monotone_within_bands(self, z_slack: float = 3.0) -> bool:
+    def monotone_within_bands(self) -> bool:
         for i in range(self.grid.size - 1):
-            slack = z_slack * (self.half_width[i] + self.half_width[i + 1])
+            slack = BAND_Z_SLACK * (self.half_width[i] + self.half_width[i + 1])
             if self.p_hat[i + 1] < self.p_hat[i] - slack:
                 return False
         return True
 
-    def matches_closed_form(self, z_slack: float = 3.0) -> bool:
+    def matches_closed_form(self) -> bool:
         return bool(
-            np.all(np.abs(self.p_hat - self.p_closed_form) <= z_slack * np.maximum(
+            np.all(np.abs(self.p_hat - self.p_closed_form) <= BAND_Z_SLACK * np.maximum(
                 self.half_width, 1e-12
             ))
         )
@@ -453,33 +457,30 @@ def trajectory_as_convergence_check(
     j: int,
     n_sequence,
     seed: int = 0,
-    theta: float | None = None,
-    burn_in: int = 1,
     noise: bool = True,
 ) -> TrajectoryResult:
     """One noise realization followed along a geometric scale sequence.
 
     The same white noise drives every scale: all nodes are sampled as one
     joint path.  Passes when |estimate(N) - a_j| <= N^(-theta) for every N
-    after the burn-in, with theta defaulting to half the decay rate of the
-    estimator's standard deviation.
+    after the first ``TRAJECTORY_BURN_IN``, with theta half the decay rate
+    of the estimator's standard deviation.
     """
     n_sequence = np.asarray(n_sequence, dtype=float)
     _check_geometric(n_sequence, "trajectory")
     lam = plan.lam(j)
     m_j = plan.m_list[j - 1]
     beta = plan.beta
-    if theta is None:
-        if plan.mode(j) == "plain":
-            rate = lam * (m_j - 2.0 * beta)
-        else:
-            rate = lam * (m_j + 0.5 - 2.0 * beta) - 0.5
-        if rate <= 0.0:
-            raise ConfigError(
-                "stats_harness: trajectory tube rate is not positive; "
-                "term is outside the recoverable regime"
-            )
-        theta = 0.5 * rate
+    if plan.mode(j) == "plain":
+        rate = lam * (m_j - 2.0 * beta)
+    else:
+        rate = lam * (m_j + 0.5 - 2.0 * beta) - 0.5
+    if rate <= 0.0:
+        raise ConfigError(
+            "stats_harness: trajectory tube rate is not positive; "
+            "term is outside the recoverable regime"
+        )
+    theta = 0.5 * rate
 
     designs = [TermDesign.for_term(model, plan, j, N, noise=False) for N in n_sequence]
     all_nodes = np.unique(np.concatenate([d.nodes for d in designs]))
@@ -499,6 +500,7 @@ def trajectory_as_convergence_check(
 
     tube = n_sequence ** (-theta)
     deviations = np.abs(estimates - truth)
+    burn_in = TRAJECTORY_BURN_IN
     passes = bool(np.all(deviations[burn_in:] <= tube[burn_in:]))
     return TrajectoryResult(
         n_sequence, estimates, truth, tube, float(theta), burn_in, passes

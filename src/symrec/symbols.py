@@ -1,5 +1,5 @@
 """Classical symbols with finite homogeneous expansions and their
-quadratic forms against band-limited states.
+quadratic forms against wave packets.
 
 A term of order m evaluates as
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .spectral_core import SpectralPatch, evaluate_physical, require_tail_small
 from .wave_packets import WavePacketFamily
 
 
@@ -27,29 +26,19 @@ def _smoothstep_quintic(u: np.ndarray) -> np.ndarray:
     return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-def _smoothstep_heptic(u: np.ndarray) -> np.ndarray:
-    return u ** 4 * (35.0 + u * (-84.0 + u * (70.0 - 20.0 * u)))
-
-
-_BRIDGES = {"quintic": _smoothstep_quintic, "heptic": _smoothstep_heptic}
-
-
 @dataclass(frozen=True)
 class LowFreqCutoff:
-    """Radial cutoff psi: 0 on |xi| <= 1/4, 1 on |xi| >= 1/2, polynomial
-    spline bridge between.  ``bridge`` selects the spline; results of any
-    packet experiment are independent of the choice because packet spectra
-    never reach |xi| < 1/2.
+    """Radial cutoff psi: 0 on |xi| <= 1/4, 1 on |xi| >= 1/2, quintic
+    smoothstep between.  Packet spectra never reach |xi| < 1/2, so no packet
+    experiment sees the bridge.
     """
-
-    bridge: str = "quintic"
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.abs(np.asarray(r, dtype=float))
         out = np.ones_like(r)
         out[r <= 0.25] = 0.0
         mid = (r > 0.25) & (r < 0.5)
-        out[mid] = _BRIDGES[self.bridge]((r[mid] - 0.25) / 0.25)
+        out[mid] = _smoothstep_quintic((r[mid] - 0.25) / 0.25)
         return out
 
 
@@ -61,14 +50,10 @@ class HomogeneousTerm:
     """One homogeneous term of the expansion."""
 
     order: float
-    coefficient: object            # callable c(x) with an is_constant flag
+    coefficient: object            # callable c(x) on numpy arrays
     h_minus: float = 1.0
     h_plus: float = 1.0
     cutoff: LowFreqCutoff = field(default=DEFAULT_CUTOFF)
-
-    @property
-    def is_x_independent(self) -> bool:
-        return bool(getattr(self.coefficient, "is_constant", False))
 
     def angular(self, xi: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(xi, dtype=float) >= 0.0, self.h_plus, self.h_minus)
@@ -130,15 +115,6 @@ class Observable:
         return self.symbol.terms
 
 
-def eval_symbol(obj, x, xi):
-    """Evaluate a term, expansion, or observable at (x, xi)."""
-    if isinstance(obj, Observable):
-        return obj.symbol.eval(x, xi)
-    if isinstance(obj, SymbolExpansion):
-        return obj.eval(x, xi)
-    return obj.eval(x, xi)
-
-
 def _as_terms(P) -> tuple:
     if isinstance(P, Observable):
         return P.terms
@@ -147,82 +123,6 @@ def _as_terms(P) -> tuple:
     if isinstance(P, HomogeneousTerm):
         return (P,)
     raise TypeError(f"symbols: cannot interpret {type(P).__name__} as a symbol")
-
-
-# ---------------------------------------------------------------------------
-# Quadratic forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhysicalGrid:
-    """Uniform midpoint grid in physical space for the outer x-quadrature."""
-
-    center: float
-    half_width: float
-    num_points: int = 2048
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * self.half_width / self.num_points
-
-    def points(self) -> np.ndarray:
-        return (
-            self.center
-            - self.half_width
-            + (np.arange(self.num_points) + 0.5) * self.spacing
-        )
-
-    @classmethod
-    def for_packet(
-        cls, family: WavePacketFamily, t: float, num_points: int = 2048,
-        radius_scale: float = 1.0,
-    ) -> "PhysicalGrid":
-        radius = radius_scale * family.profile.support_radius / t
-        return cls(family.x0, radius, num_points)
-
-
-def quadratic_form(
-    f: SpectralPatch, P, x_grid: PhysicalGrid, tail_tol: float = 1e-6
-) -> complex:
-    """(f|Pf) by nested midpoint quadrature.
-
-    For x-independent symbols the x-integral collapses to a single
-    frequency sum; that fast path is also exposed for cross-checks via
-    ``quadratic_form_diagonal``.
-    """
-    terms = _as_terms(P)
-    if all(t.is_x_independent for t in terms):
-        return quadratic_form_diagonal(f, P)
-
-    x = x_grid.points()
-    fx = evaluate_physical(f, x)
-    require_tail_small(fx, tail_tol, "symbols: quadratic_form x-grid")
-    total = 0.0 + 0.0j
-    xi = f.window.grid()
-    for term in terms:
-        weighted = SpectralPatch(
-            f.window, f.values * term.spectral_factor(xi), dim=f.dim
-        )
-        action = evaluate_physical(weighted, x)
-        cvals = np.asarray(term.coefficient(x))
-        total += np.sum(np.conj(fx) * cvals * action) * x_grid.spacing
-    return complex(total)
-
-
-def quadratic_form_diagonal(f: SpectralPatch, P) -> complex:
-    """Fast path for x-independent symbols: sum a(xi) |fhat|^2 dxi."""
-    xi = f.window.grid()
-    density = np.abs(f.values) ** 2 * f.window.spacing
-    total = 0.0 + 0.0j
-    for term in _as_terms(P):
-        if not term.is_x_independent:
-            raise ConfigError(
-                "symbols: diagonal fast path requires x-independent coefficients"
-            )
-        c = float(np.asarray(term.coefficient(0.0)))
-        total += c * np.sum(term.spectral_factor(xi) * density)
-    return complex(total)
 
 
 def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> np.ndarray:
@@ -248,8 +148,8 @@ def packet_quadratic_form(
         S_j,t(y) = (2*pi)^(-1/2) integral exp(i*y*eta)
                    s_j(t^lam*xi0 + t*eta) chi_hat(eta) deta,
 
-    where s_j is the xi-part of term j.  Agrees with ``quadratic_form``
-    to quadrature accuracy and is the route used in node-heavy loops.
+    where s_j is the xi-part of term j.  The tests check it against an
+    independent nested quadrature on a physical grid.
 
     S_j,t does not depend on x0, so it is computed once per term and node
     chunk and shared by every base point.  An array ``x0`` adds a leading

@@ -2,8 +2,8 @@
 
 A packet concentrates at x0 on scale 1/t while oscillating at frequency
 t^lambda * xi0 with lambda > 1.  Its transform is supported on the window
-|xi - t^lambda*xi0| < t, which makes the spectral-patch representation
-exact.  The profile fixes one smooth, radial, compactly supported bump for
+|xi - t^lambda*xi0| < t, so its samples on a frequency lattice covering
+that window carry it exactly.  The profile fixes one smooth, radial, compactly supported bump for
 the transform: equal to a constant b on |xi| <= 1/2, vanishing for
 |xi| >= 1, with a smooth exponential partition bridge between, normalized
 to unit L2 norm.
@@ -17,7 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import splines
-from .spectral_core import TWO_PI, FrequencyWindow, SpectralPatch, inner_product_l2
+
+TWO_PI = 2.0 * np.pi
 
 _CHI_CACHE_POINTS = 2 ** 14
 _CHI_SCAN_POINTS = 8192
@@ -160,41 +161,6 @@ class WavePacketFamily:
     def center(self, t: float) -> float:
         return float(t ** self.lam * self.xi0)
 
-    def spectrum(self, t: float, xi: np.ndarray) -> np.ndarray:
-        """Transform values: t^(-1/2) exp(-i*xi*x0) chi_hat((xi - t^lam*xi0)/t)."""
-        xi = np.asarray(xi, dtype=float)
-        envelope = self.profile.chi_hat((xi - self.center(t)) / t)
-        return t ** -0.5 * np.exp(-1j * xi * self.x0) * envelope
-
-
-def make_packet(
-    family: WavePacketFamily,
-    t: float,
-    num_points: int = 256,
-    lattice_spacing: float | None = None,
-) -> SpectralPatch:
-    """Spectral patch of the packet f_t.
-
-    Without ``lattice_spacing`` the window is exactly
-    [t^lam*xi0 - t, t^lam*xi0 + t] with ``num_points`` samples.  With it,
-    the window snaps outward to the global midpoint lattice so that all
-    patches in one node set share a single grid.
-    """
-    if t < 1.0:
-        raise ValueError("wave_packets: packet scale t must be >= 1")
-    center = family.center(t)
-    if lattice_spacing is None:
-        window = FrequencyWindow(center, float(t), num_points)
-    else:
-        d = float(lattice_spacing)
-        k_lo = int(np.floor((center - t) / d - 0.5))
-        k_hi = int(np.ceil((center + t) / d - 0.5))
-        n = k_hi - k_lo + 1
-        start = k_lo * d
-        window = FrequencyWindow(start + 0.5 * n * d, 0.5 * n * d, n)
-    values = family.spectrum(t, window.grid())
-    return SpectralPatch(window, values, dim=1, sampler=lambda xi: family.spectrum(t, xi))
-
 
 def lattice_spacing_for(nodes, points_per_min_window: int = 128) -> float:
     """Shared grid spacing for a node set: min window half-width / points."""
@@ -202,32 +168,3 @@ def lattice_spacing_for(nodes, points_per_min_window: int = 128) -> float:
     if t_min < 1.0:
         raise ValueError("wave_packets: all nodes must satisfy t >= 1")
     return t_min / points_per_min_window
-
-
-@dataclass(frozen=True)
-class OverlapTable:
-    t_values: np.ndarray
-    s_values: np.ndarray
-    overlaps: np.ndarray          # |(f_t|f_s)| on the (t, s) grid
-    separations: np.ndarray       # |t^lam - s^lam|
-    envelope_constant: float      # C with |(f_t|f_s)| <= C / (1 + sep/T)
-
-
-def packet_overlap_decay(
-    family: WavePacketFamily, T: float, grid_points: int = 9
-) -> OverlapTable:
-    """Tabulate |(f_t|f_s)| on [T, 2T]^2 and fit the decay envelope."""
-    if not (T > 2.0 ** (1.0 / (family.lam - 1.0))):
-        raise ValueError("wave_packets: need T > 2^(1/(lambda-1)) for overlap decay")
-    ts = np.linspace(T, 2.0 * T, grid_points)
-    spacing = lattice_spacing_for(ts)
-    patches = [make_packet(family, t, lattice_spacing=spacing) for t in ts]
-    overlaps = np.empty((grid_points, grid_points))
-    for i, p in enumerate(patches):
-        for j, q in enumerate(patches):
-            overlaps[i, j] = abs(inner_product_l2(p, q))
-    sep = np.abs(
-        ts[:, None] ** family.lam - ts[None, :] ** family.lam
-    )
-    envelope_constant = float(np.max(overlaps * (1.0 + sep / T)))
-    return OverlapTable(ts, ts, overlaps, sep, envelope_constant)

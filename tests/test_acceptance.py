@@ -12,12 +12,12 @@ from symrec.measurement_recovery import (
     plan_orders,
 )
 from symrec.noise_engine import (
+    JapaneseBracketWeight,
     basis_oracle_batch,
     build_kernel,
     sample_paths,
 )
 from symrec.rng import child_seed
-from symrec.spectral_core import JapaneseBracketWeight, inner_product_sobolev, l2_norm
 from symrec.stats_harness import (
     nonconvergence_experiment,
     rate_certificate_experiment,
@@ -29,7 +29,9 @@ from symrec.symbols import (
     SymbolExpansion,
     asymptotic_error_probe,
 )
-from symrec.wave_packets import WavePacketFamily, make_packet
+from symrec.wave_packets import WavePacketFamily
+
+from reference_quadrature import inner_product_sobolev, l2_norm, make_packet
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

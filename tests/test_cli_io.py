@@ -214,6 +214,11 @@ class TestCommands:
             ("rate", "rate_eps =", "rate_eps"),
             ("recover", "x0_grid =", "x0_grid"),
             ("noise-stats", "x0_grid =", "x0_grid"),
+            ("nonconvergence", "grid =\nterm = 2", "grid"),
+            ("rate", "grid =\ntrials = 200", "grid"),
+            ("asymptotics", "grid =", "grid"),
+            ("nonconvergence", "threshold = 0\nterm = 2", "threshold"),
+            ("nonconvergence", "threshold = -1\nterm = 2", "threshold"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):
@@ -368,9 +373,3 @@ class TestPlotData:
         assert lines[0] == "# demo"
         assert lines[1] == "# x y"
         assert lines[2].split() == ["1.0", "3.0"]
-
-    def test_empty_series_warns_and_writes_nothing(self, tmp_path):
-        with pytest.warns(UserWarning, match="empty series"):
-            path = emit_plot_data(tmp_path, "empty", {"x": []})
-        assert path is None
-        assert not (tmp_path / "empty.txt").exists()

@@ -27,7 +27,7 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     noise=st.booleans(),
     subtract=st.sampled_from(["oracle", "self", "both"]),
     orders=_float_lists,
-    grid=st.lists(_scales, max_size=4).map(tuple),
+    grid=st.lists(_scales, min_size=1, max_size=4).map(tuple),
     scale=_scales,
     average_nodes=st.integers(0, 10**6),
     trials=st.integers(1, 10**6),
@@ -36,7 +36,7 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     workers=st.integers(1, 64),
     term=st.integers(1, 9),
     mode=st.sampled_from(["plain", "averaged"]),
-    threshold=_floats,
+    threshold=_positive,
     rate_eps=st.lists(_positive, min_size=1, max_size=4).map(tuple),
     rate_delta=st.lists(_probabilities, min_size=1, max_size=4).map(tuple),
     lambda_overrides=st.dictionaries(st.integers(1, 9), _floats).map(

@@ -91,10 +91,6 @@ def render(node, draw) -> str:
     return f"{left}{sp()}{op}{sp()}{right}"
 
 
-def has_x(node) -> bool:
-    return node[0] == "x" or any(isinstance(c, tuple) and has_x(c) for c in node[1:])
-
-
 @settings(max_examples=300, deadline=None)
 @given(tree=_trees, data=st.data())
 def test_rendered_tree_evaluates_like_the_tree(tree, data):
@@ -105,7 +101,6 @@ def test_rendered_tree_evaluates_like_the_tree(tree, data):
         scalar = direct(tree, np.asarray(0.0))
     assert np.array_equal(expr(X), expected, equal_nan=True), text
     assert np.array_equal(expr(0.0), scalar, equal_nan=True), text
-    assert expr.is_constant == (not has_x(tree)), text
 
 
 _pieces = st.sampled_from(

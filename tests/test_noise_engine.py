@@ -7,9 +7,11 @@ from scipy.stats import ks_2samp
 from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import average_grid
 from symrec.noise_engine import (
+    JapaneseBracketWeight,
     NoiseKernel,
     _lattice_index_range,
     _node_patch_matrix,
+    _oracle_coefficients,
     basis_oracle_batch,
     build_kernel,
     sample_functional,
@@ -18,6 +20,8 @@ from symrec.noise_engine import (
 )
 from symrec.rng import child_seed
 from symrec.wave_packets import WavePacketFamily, lattice_spacing_for
+
+from reference_quadrature import spectrum
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,23 @@ class TestBasisOracle:
                 points_per_min_window=32,
             )
 
+    @pytest.mark.parametrize("x0", [0.0, -0.5, 0.3])
+    def test_coefficients_are_the_per_node_spectra(self, profile, x0):
+        # u and v come from the kernel's patch matrix; node by node they are
+        # the packet spectra on the lattice, reflected for the conjugated slot
+        family = WavePacketFamily(x0=x0, xi0=1.0, lam=2.0, profile=profile)
+        nodes = np.array(self.NODES)
+        u, v = _oracle_coefficients(family, nodes, self.BETA, 128, 32)
+        spacing = lattice_spacing_for(nodes, 32)
+        xi = _node_patch_matrix(family, nodes, spacing)[1]
+        w = JapaneseBracketWeight(self.BETA)
+        refl = xi[::-1]
+        for k, t in enumerate(nodes):
+            want_u = spectrum(family, t, refl) * np.sqrt(w(-refl) * spacing)
+            want_v = np.conj(spectrum(family, t, xi)) * np.sqrt(w(xi) * spacing)
+            assert np.array_equal(u[k], want_u)
+            assert np.array_equal(v[k], want_v)
+
 
 def test_nodes_must_increase(base_family):
     with pytest.raises(ConfigError, match="increasing"):
@@ -187,7 +208,7 @@ def test_nodes_must_increase(base_family):
 
 
 def _patch_matrix_per_row(family, nodes, spacing):
-    """One ``family.spectrum`` call per node, assembled through COO."""
+    """One ``spectrum`` call per node, assembled through COO."""
     ranges = [_lattice_index_range(family.center(t), t, spacing) for t in nodes]
     k_min = min(r[0] for r in ranges)
     k_max = max(r[1] for r in ranges)
@@ -197,7 +218,7 @@ def _patch_matrix_per_row(family, nodes, spacing):
         idx = np.arange(k_lo - k_min, k_hi - k_min + 1)
         rows.append(np.full(idx.size, row))
         cols.append(idx)
-        data.append(family.spectrum(float(t), xi_cols[idx]))
+        data.append(spectrum(family, float(t), xi_cols[idx]))
     mat = scipy.sparse.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(nodes), xi_cols.size),

@@ -11,14 +11,10 @@ from symrec.measurement_recovery import (
     TabulatedCoeff,
     TermDesign,
     adaptive_average_nodes,
-    averaged_estimate,
-    measure,
-    plain_estimate,
     plan_orders,
-    recover_expansion,
 )
 from symrec.noise_engine import build_kernel
-from symrec.rng import rng_for, standard_complex_normal
+from symrec.rng import child_seed, rng_for, standard_complex_normal
 from symrec.stats_harness import _estimator_samples, trajectory_as_convergence_check
 from symrec.symbols import (
     HomogeneousTerm,
@@ -26,6 +22,15 @@ from symrec.symbols import (
     SymbolExpansion,
     packet_quadratic_form,
 )
+
+
+def estimate(model, plan, j, N, seed=0, noise=True, n_nodes=None):
+    """The oracle-subtracted estimate of term j at scale N in its planned
+    mode, with the noise keyed by (seed, "plain" or "avg", j)."""
+    design = TermDesign.for_term(model, plan, j, N, n_nodes, noise)
+    tag = "plain" if plan.mode(j) == "plain" else "avg"
+    value = design.estimate(design.signal(model.observable, j))
+    return value + design.noise(child_seed(seed, tag, j))
 
 
 class TestPlanOrders:
@@ -64,21 +69,18 @@ class TestMeasure:
     def test_identity_no_noise(self, two_term_model):
         P = Observable(SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("1")),)))
         model = MeasurementModel(P, 0.0, 0.0, 1.0, two_term_model.profile)
-        assert abs(measure(model, 8.0, 2.0, 1) - 1.0) < 1e-6
+        design = TermDesign(model.family_for(2.0), 0.0, 0.0, "plain", 8.0, noise=False)
+        assert abs(design.signal(model.observable, 1)[0] - 1.0) < 1e-6
 
     def test_subtracted_measurement_matches_residual_symbol(self, two_term_model):
         # j = 2 measurement equals the quadratic form of the remaining term
-        val = measure(two_term_model, 8.0, 2.5, 2)
         family = two_term_model.family_for(2.5)
+        design = TermDesign(family, 0.0, 0.0, "plain", 8.0, noise=False)
+        val = design.signal(two_term_model.observable, 2)[0]
         residual = packet_quadratic_form(
             family, [8.0], two_term_model.observable.terms[1]
         )[0]
         assert abs(val - residual) < 1e-6 * max(1.0, abs(residual))
-
-    def test_noise_additivity_exact(self, two_term_model):
-        base = measure(two_term_model, 8.0, 2.0, 1)
-        shifted = measure(two_term_model, 8.0, 2.0, 1, noise_value=0.25 + 0.125j)
-        assert shifted - base == 0.25 + 0.125j
 
 
 class TestPlainEstimate:
@@ -92,7 +94,7 @@ class TestPlainEstimate:
             )
         )
         model = MeasurementModel(P, 0.0, 0.4, 1.0, profile)
-        est = plain_estimate(model, two_term_plan, 1, 32.0, noise=False)
+        est = estimate(model, two_term_plan, 1, 32.0, noise=False)
         truth = model.truth(1).real
         assert abs(est - truth) < 0.05
 
@@ -103,19 +105,13 @@ class TestPlainEstimate:
         sd = N ** (-2.0) * np.sqrt(kernel.diagonal[0])
         samples = np.array(
             [
-                plain_estimate(two_term_model, two_term_plan, 1, N, seed=s)
+                estimate(two_term_model, two_term_plan, 1, N, seed=s)
                 for s in range(200)
             ]
         )
-        base = plain_estimate(two_term_model, two_term_plan, 1, N, noise=False)
+        base = estimate(two_term_model, two_term_plan, 1, N, noise=False)
         empirical_sd = np.sqrt(np.mean(np.abs(samples - base) ** 2))
         assert empirical_sd == pytest.approx(sd, rel=0.25)
-
-    def test_mode_gating(self, two_term_model, two_term_plan):
-        with pytest.raises(ConfigError, match="plain"):
-            plain_estimate(two_term_model, two_term_plan, 2, 16.0)
-        with pytest.raises(ConfigError, match="averaged"):
-            averaged_estimate(two_term_model, two_term_plan, 1, 16.0)
 
     def test_rescaled_noise_variance_constant_in_N(self, two_term_model, two_term_plan):
         # kernel-exact variance times N^(2*lam*(m - 2*beta)) stays flat
@@ -130,22 +126,20 @@ class TestPlainEstimate:
 
 class TestAveragedEstimate:
     def test_noise_free_converges(self, two_term_model, two_term_plan):
-        est = averaged_estimate(two_term_model, two_term_plan, 2, 24.0, noise=False)
+        est = estimate(two_term_model, two_term_plan, 2, 24.0, noise=False)
         truth = two_term_model.truth(2).real
         assert abs(est - truth) < 0.05
 
     def test_node_doubling_changes_little(self, two_term_model, two_term_plan):
         k = adaptive_average_nodes(8.0, two_term_plan.lam(2))
-        a = averaged_estimate(two_term_model, two_term_plan, 2, 8.0, n_nodes=k, noise=False)
-        b = averaged_estimate(
-            two_term_model, two_term_plan, 2, 8.0, n_nodes=2 * k, noise=False
-        )
+        a = estimate(two_term_model, two_term_plan, 2, 8.0, n_nodes=k, noise=False)
+        b = estimate(two_term_model, two_term_plan, 2, 8.0, n_nodes=2 * k, noise=False)
         assert abs(a - b) < 1e-4 * abs(a)
 
     def test_node_cap_signals(self, two_term_model):
         plan = plan_orders([1.0, 0.0, -1.0], 0.0, lambda_overrides={2: 4.0})
         with pytest.raises(NumericalError, match="cap"):
-            averaged_estimate(two_term_model, plan, 2, 64.0, seed=0)
+            TermDesign.for_term(two_term_model, plan, 2, 64.0)
 
 
 def test_subtraction_telescoping(two_term_model):
@@ -158,20 +152,17 @@ def test_subtraction_telescoping(two_term_model):
     )
     assert abs(full - parts) < 1e-8 * abs(full)
     # and the j = k_beta + 1 measurement is the full form minus all terms
-    left = measure(two_term_model, 8.0, 2.0, len(two_term_model.observable.terms) + 1)
+    beyond = len(two_term_model.observable.terms) + 1
+    design = TermDesign(family, 0.0, 0.0, "plain", 8.0, noise=False)
+    left = design.signal(two_term_model.observable, beyond)[0]
     assert abs(left - (full - parts)) < 1e-10
 
 
 def test_recover_expansion_single_seed(two_term_model, two_term_plan):
-    report = recover_expansion(
-        two_term_model,
-        two_term_plan,
-        np.linspace(-0.5, 0.5, 5),
-        1.0,
-        48.0,
+    report = RecoverySession(
+        two_term_model, two_term_plan, np.linspace(-0.5, 0.5, 5), 48.0,
         subtract_mode="oracle",
-        seed=2024,
-    )
+    ).run_seed(2024)
     assert len(report.rows) == 10
     assert report.errors().max() < 0.1
     assert not report.alerts
@@ -192,7 +183,7 @@ def test_zero_observable_noise_floor(profile, two_term_plan):
     N = 16.0
     bound = 3.0 * N ** (-two_term_plan.lam(1) * 1.0)
     values = [
-        abs(plain_estimate(model, two_term_plan, 1, N, seed=s)) for s in range(50)
+        abs(estimate(model, two_term_plan, 1, N, seed=s)) for s in range(50)
     ]
     assert max(values) <= bound
 
@@ -236,8 +227,8 @@ def test_self_subtract_needs_dense_grid(two_term_model, two_term_plan):
 def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_plan):
     model, plan, N = two_term_model, two_term_plan, 8.0
     session = RecoverySession(model, plan, [model.x0], N, noise=False).run_seed(0)
-    for j, single in ((1, plain_estimate), (2, averaged_estimate)):
-        expected = single(model, plan, j, N, noise=False)
+    for j in (1, 2):
+        expected = estimate(model, plan, j, N, noise=False)
         got = [
             next(r.estimate for r in session.rows if r.term_index == j),
             _estimator_samples(model, plan, j, N, 3, 0, "rate-0", noise=False)[0],

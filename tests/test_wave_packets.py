@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from symrec.spectral_core import JapaneseBracketWeight, inner_product_sobolev
+from symrec.noise_engine import JapaneseBracketWeight
 from symrec.wave_packets import (
     _CHI_SCAN_MAX,
     _CHI_SCAN_POINTS,
     WavePacketFamily,
     bridge_sigma,
     lattice_spacing_for,
+)
+
+from reference_quadrature import (
+    brute_force_overlap,
+    inner_product_sobolev,
     make_packet,
     packet_overlap_decay,
 )
@@ -137,8 +142,6 @@ def test_overlap_decay_table(profile):
     assert table.overlaps[near].min() >= lower
 
     # one off-diagonal entry against direct physical-space quadrature
-    from test_spectral_core import brute_force_overlap
-
     i, j = 0, 1
     oracle = abs(
         brute_force_overlap(family, table.t_values[i], table.s_values[j])
