@@ -4,6 +4,8 @@ convergence, variance-scaling, and non-convergence laws."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import ConfigError, NumericalError
 from .expressions import CoeffExpr, parse_coeff
 from .measurement_recovery import (
@@ -45,4 +47,8 @@ from .wave_packets import (
     make_profile,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them bound here
+__all__ = [
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+]

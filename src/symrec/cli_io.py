@@ -21,7 +21,8 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,6 @@ from .stats_harness import (
 from .symbols import HomogeneousTerm, Observable, SymbolExpansion, asymptotic_error_probe
 from .wave_packets import make_profile
 
-COMMANDS = (
-    "recover",
-    "noise-stats",
-    "variance-scaling",
-    "nonconvergence",
-    "rate",
-    "asymptotics",
-)
-
 SCHEMA_VERSION = 1
 DEFAULT_LAMBDA = 2.0   # packet growth rate of the statistics commands without lambda_<j>
 
@@ -63,19 +55,22 @@ class TermSpec:
     h_plus: float = 1.0
 
 
+# The dataclass annotations are the config schema: int, float and str keys
+# are scalars, tuple[float, ...] keys comma lists, bool keys true or false.
+# lambda_<j> and symbol_<i>_<field> lines fill the two structured fields.
 @dataclass(frozen=True)
 class ExperimentConfig:
     schema_version: int = SCHEMA_VERSION
     beta: float = 0.0
-    x0_grid: tuple = (0.0,)
+    x0_grid: tuple[float, ...] = (0.0,)
     xi0: float = 1.0
     profile_sharpness: float = 1.0
     noise: bool = True
     subtract: str = "oracle"
-    orders: tuple = ()            # plan orders; defaults to the symbol orders
-    grid: tuple = (8.0, 16.0, 32.0, 64.0)
+    orders: tuple[float, ...] = ()   # plan orders; defaults to the symbol orders
+    grid: tuple[float, ...] = (8.0, 16.0, 32.0, 64.0)
     scale: float = 32.0
-    average_nodes: int = 0        # 0 means automatic
+    average_nodes: int = 0           # 0 means automatic
     trials: int = 1000
     seed: int = 0
     out: str = "results"
@@ -83,54 +78,31 @@ class ExperimentConfig:
     term: int = 1
     mode: str = "plain"
     threshold: float = 0.5
-    rate_eps: tuple = (0.1,)
-    rate_delta: tuple = (0.1,)
-    lambda_overrides: tuple = ()  # pairs (term index, lambda)
+    rate_eps: tuple[float, ...] = (0.1,)
+    rate_delta: tuple[float, ...] = (0.1,)
+    lambda_overrides: tuple[tuple[int, float], ...] = ()  # pairs (term index, lambda)
     alert_threshold: float = 0.5
     plain_margin: float = 0.0
     averaged_margin: float = 0.5
-    terms: tuple = ()
+    terms: tuple[TermSpec, ...] = ()
 
     def __post_init__(self):
         """The domain checks, for a config parsed from text or built in code."""
-        numbers = [(key, getattr(self, key)) for key, t in _SCALAR_KEYS.items() if t is float]
-        numbers += [(key, v) for key in sorted(_LIST_KEYS) for v in getattr(self, key)]
+        numbers = [(key, getattr(self, key)) for key in _keys_of(float)]
+        numbers += [(key, v) for key in _keys_of(_LIST) for v in getattr(self, key)]
         numbers += [(f"lambda_{j}", lam) for j, lam in self.lambda_overrides]
         numbers += [
             (f"symbol_{i}_{name}", getattr(term, name))
             for i, term in enumerate(self.terms, start=1)
-            for name in ("order", "h_minus", "h_plus")
+            for name, kind in _TERM_KINDS.items() if kind is float
         ]
         for key, value in numbers:
             if not math.isfinite(value):
                 raise ConfigError(f"cli_io: {key} must be finite, got {value!r}")
-        # packet scales: the packets and the symbols' homogeneity need t >= 1
-        if not self.scale >= 1.0:
-            raise ConfigError(f"cli_io: scale must be >= 1, got {self.scale!r}")
-        if not self.grid:
-            raise ConfigError("cli_io: grid must not be empty")
-        if not all(t >= 1.0 for t in self.grid):
-            raise ConfigError(f"cli_io: grid values must be >= 1, got {min(self.grid)!r}")
-        if not self.x0_grid:
-            raise ConfigError("cli_io: x0_grid must not be empty")
-        if not (self.rate_eps and all(e > 0.0 for e in self.rate_eps)):
-            raise ConfigError(f"cli_io: rate_eps values must be > 0, got {self.rate_eps!r}")
-        if not (self.rate_delta and all(0.0 < d <= 1.0 for d in self.rate_delta)):
-            raise ConfigError(
-                f"cli_io: rate_delta values must lie in (0, 1], got {self.rate_delta!r}"
-            )
-        if not self.threshold > 0.0:
-            raise ConfigError(f"cli_io: threshold must be > 0, got {self.threshold!r}")
-        if self.term < 1:
-            raise ConfigError(f"cli_io: term must be >= 1, got {self.term!r}")
-        if self.trials < 1:
-            raise ConfigError("cli_io: trials must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("cli_io: workers must be >= 1")
-        if self.xi0 not in (-1.0, 1.0):
-            raise ConfigError("cli_io: xi0 must be 1 or -1")
-        if not self.profile_sharpness > 0.0:
-            raise ConfigError("cli_io: profile_sharpness must be positive")
+        for key, check, requirement in _DOMAINS:
+            value = getattr(self, key)
+            if not check(value):
+                raise ConfigError(f"cli_io: {key} must be {requirement}, got {value!r}")
 
     def plan_order_list(self) -> list:
         if self.orders:
@@ -138,28 +110,39 @@ class ExperimentConfig:
         return [t.order for t in self.terms]
 
 
-_SCALAR_KEYS = {
-    "schema_version": int,
-    "beta": float,
-    "xi0": float,
-    "profile_sharpness": float,
-    "subtract": str,
-    "scale": float,
-    "average_nodes": int,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "workers": int,
-    "term": int,
-    "mode": str,
-    "threshold": float,
-    "alert_threshold": float,
-    "plain_margin": float,
-    "averaged_margin": float,
-}
-_LIST_KEYS = {"x0_grid", "orders", "grid", "rate_eps", "rate_delta"}
-_BOOL_KEYS = {"noise"}
-_SYMBOL_FIELDS = {"order", "coeff", "h_minus", "h_plus"}
+_LIST = tuple[float, ...]
+_KINDS = typing.get_type_hints(ExperimentConfig)
+_TERM_KINDS = typing.get_type_hints(TermSpec)
+
+
+def _keys_of(*kinds) -> list:
+    return sorted(key for key, kind in _KINDS.items() if kind in kinds)
+
+
+def _each(check):
+    return lambda values: bool(values) and all(check(v) for v in values)
+
+
+# One row per key with a domain: (key, check, requirement).  Packet scales
+# are >= 1, since the packets and the symbols' homogeneity need t >= 1.
+_DOMAINS = (
+    ("schema_version", lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
+    ("x0_grid", bool, "non-empty"),
+    ("xi0", lambda v: v in (-1.0, 1.0), "1 or -1"),
+    ("profile_sharpness", lambda v: v > 0.0, "> 0"),
+    ("subtract", lambda v: v in ("oracle", "self", "both"), "oracle, self or both"),
+    ("grid", _each(lambda t: t >= 1.0), "non-empty with each value >= 1"),
+    ("scale", lambda v: v >= 1.0, ">= 1"),
+    ("average_nodes", lambda v: v == 0 or v >= 2, "0 (automatic) or >= 2 nodes"),
+    ("trials", lambda v: v >= 1, ">= 1"),
+    ("workers", lambda v: v >= 1, ">= 1"),
+    ("term", lambda v: v >= 1, ">= 1"),
+    ("mode", lambda v: v in ("plain", "averaged"), "plain or averaged"),
+    ("threshold", lambda v: v > 0.0, "> 0"),
+    ("rate_eps", _each(lambda e: e > 0.0), "non-empty with each value > 0"),
+    ("rate_delta", _each(lambda d: 0.0 < d <= 1.0), "non-empty with each value in (0, 1]"),
+    ("lambda_overrides", lambda v: all(j >= 1 for j, _ in v), "indexed by terms j >= 1"),
+)
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -176,12 +159,13 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"cli_io: line {lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        kind = _KINDS.get(key)
         try:
-            if key in _SCALAR_KEYS:
-                values[key] = _SCALAR_KEYS[key](val)
-            elif key in _LIST_KEYS:
+            if kind in (int, float, str):
+                values[key] = kind(val)
+            elif kind == _LIST:
                 values[key] = tuple(float(p) for p in val.split(",") if p.strip())
-            elif key in _BOOL_KEYS:
+            elif kind is bool:
                 if val not in ("true", "false"):
                     raise ConfigError(
                         f"cli_io: line {lineno}: {key} must be true or false"
@@ -193,14 +177,14 @@ def parse_config(text: str) -> ExperimentConfig:
                 values["_symbol_count"] = int(val)
             elif key.startswith("symbol_"):
                 parts = key.split("_", 2)
-                if len(parts) != 3 or parts[2] not in _SYMBOL_FIELDS:
+                if len(parts) != 3 or parts[2] not in _TERM_KINDS:
                     raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
                 idx = int(parts[1])
-                symbol_raw.setdefault(idx, {})[parts[2]] = (
-                    val if parts[2] == "coeff" else float(val)
-                )
+                symbol_raw.setdefault(idx, {})[parts[2]] = _TERM_KINDS[parts[2]](val)
             else:
                 raise ConfigError(f"cli_io: line {lineno}: unknown key {key!r}")
+        except ConfigError:
+            raise
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"cli_io: line {lineno}: bad value for {key!r}: {exc}") from exc
 
@@ -225,26 +209,24 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
-    """Canonical serialization; parse(serialize(parse(t))) == parse(t)."""
-    lines = []
-    lines.append(f"schema_version = {cfg.schema_version}")
-    for key in sorted(_SCALAR_KEYS):
-        if key == "schema_version":
-            continue
-        lines.append(f"{key} = {getattr(cfg, key)!r}".replace("'", ""))
-    for key in sorted(_LIST_KEYS):
-        vals = ", ".join(repr(v) for v in getattr(cfg, key))
-        lines.append(f"{key} = {vals}")
-    for key in sorted(_BOOL_KEYS):
+    """Canonical serialization; parse(serialize(parse(t))) == parse(t).
+    Its bytes feed ``config_digest``, so the line order is fixed:
+    schema_version, the other scalars, the lists, the flags, the lambda
+    overrides, then the symbol terms."""
+    lines = [f"schema_version = {cfg.schema_version}"]
+    for key in _keys_of(int, float, str):
+        if key != "schema_version":
+            lines.append(f"{key} = {getattr(cfg, key)}")
+    for key in _keys_of(_LIST):
+        lines.append(f"{key} = {', '.join(repr(v) for v in getattr(cfg, key))}")
+    for key in _keys_of(bool):
         lines.append(f"{key} = {'true' if getattr(cfg, key) else 'false'}")
     for j, lam in cfg.lambda_overrides:
         lines.append(f"lambda_{j} = {lam!r}")
     lines.append(f"symbol_count = {len(cfg.terms)}")
     for i, term in enumerate(cfg.terms, start=1):
-        lines.append(f"symbol_{i}_order = {term.order!r}")
-        lines.append(f"symbol_{i}_coeff = {term.coeff}")
-        lines.append(f"symbol_{i}_h_minus = {term.h_minus!r}")
-        lines.append(f"symbol_{i}_h_plus = {term.h_plus!r}")
+        for name in _TERM_KINDS:
+            lines.append(f"symbol_{i}_{name} = {getattr(term, name)}")
     return "\n".join(lines) + "\n"
 
 
@@ -761,7 +743,10 @@ def run_command(
             raise ConfigError(f"cli_io: unknown command {name!r}")
         digest = config_digest(cfg)
         experiment_id = f"{name}-{digest[:12]}-{cfg.seed}"
-        rows, summary, plots = _DISPATCH[name](cfg, experiment_id)
+        # Overflow and 0/0 raise here and exit 3.  numpy's error state is a
+        # context variable, so it does not reach parallel_map's pool threads.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            rows, summary, plots = _DISPATCH[name](cfg, experiment_id)
         _require_finite(rows, summary)
 
         out = Path(out_dir if out_dir is not None else cfg.out)
@@ -791,6 +776,9 @@ def run_command(
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ArithmeticError as exc:  # OverflowError, or numpy's FloatingPointError
+        print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:  # ConfigError, or a library domain check
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -802,7 +790,7 @@ def main(argv=None) -> int:
         description="Reconstruct homogeneous symbol terms from noisy "
         "wave-packet measurements and certify the noise laws.",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", required=True, help="path to a key=value config file")
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", help="override the output directory")
@@ -811,24 +799,16 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
+    overrides = {
+        key: getattr(args, key)
+        for key in ("seed", "trials", "workers")
+        if getattr(args, key) is not None
+    }
     try:
-        cfg = load_config(args.config)
+        cfg = dataclasses.replace(load_config(args.config), **overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        if args.trials < 1:
-            parser.error("--trials must be >= 1")
-        overrides["trials"] = args.trials
-    if args.workers is not None:
-        if args.workers < 1:
-            parser.error("--workers must be >= 1")
-        overrides["workers"] = args.workers
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
     return run_command(args.command, cfg, out_dir=args.out, quiet=args.quiet)
 
 

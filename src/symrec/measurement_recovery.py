@@ -158,13 +158,7 @@ def adaptive_average_nodes(N: float, lam: float) -> int:
     the grid keeps ``AVERAGE_RESOLUTION`` nodes per unit of that variable.
     """
     needed = math.ceil(AVERAGE_RESOLUTION * lam * (2.0 * N) ** (lam - 1.0))
-    k = max(MIN_AVERAGE_NODES, needed)
-    if k > MAX_AVERAGE_NODES:
-        raise NumericalError(
-            f"measurement_recovery: average needs {k} nodes at N={N:g}, "
-            f"above the cap {MAX_AVERAGE_NODES}; reduce N or lambda"
-        )
-    return int(k)
+    return int(max(MIN_AVERAGE_NODES, needed))
 
 
 def average_grid(N: float, n_nodes: int) -> np.ndarray:
@@ -201,6 +195,11 @@ class TermDesign:
             k = n_nodes or adaptive_average_nodes(N, family.lam)
             if k < 2:
                 raise ConfigError("measurement_recovery: averaged mode needs >= 2 nodes")
+            if k > MAX_AVERAGE_NODES:
+                raise NumericalError(
+                    f"measurement_recovery: average needs {k} nodes at N={N:g}, "
+                    f"above the cap {MAX_AVERAGE_NODES}; reduce N, lambda or the count"
+                )
             nodes = average_grid(N, k)
         self.family = family
         self.nodes = nodes

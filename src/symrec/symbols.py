@@ -14,7 +14,7 @@ finite sum of its terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,23 +26,17 @@ def _smoothstep_quintic(u: np.ndarray) -> np.ndarray:
     return u ** 3 * (10.0 + u * (-15.0 + 6.0 * u))
 
 
-@dataclass(frozen=True)
-class LowFreqCutoff:
+def low_freq_cutoff(r: np.ndarray) -> np.ndarray:
     """Radial cutoff psi: 0 on |xi| <= 1/4, 1 on |xi| >= 1/2, quintic
     smoothstep between.  Packet spectra never reach |xi| < 1/2, so no packet
     experiment sees the bridge.
     """
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.abs(np.asarray(r, dtype=float))
-        out = np.ones_like(r)
-        out[r <= 0.25] = 0.0
-        mid = (r > 0.25) & (r < 0.5)
-        out[mid] = _smoothstep_quintic((r[mid] - 0.25) / 0.25)
-        return out
-
-
-DEFAULT_CUTOFF = LowFreqCutoff()
+    r = np.abs(np.asarray(r, dtype=float))
+    out = np.ones_like(r)
+    out[r <= 0.25] = 0.0
+    mid = (r > 0.25) & (r < 0.5)
+    out[mid] = _smoothstep_quintic((r[mid] - 0.25) / 0.25)
+    return out
 
 
 @dataclass(frozen=True)
@@ -53,7 +47,6 @@ class HomogeneousTerm:
     coefficient: object            # callable c(x) on numpy arrays
     h_minus: float = 1.0
     h_plus: float = 1.0
-    cutoff: LowFreqCutoff = field(default=DEFAULT_CUTOFF)
 
     def angular(self, xi: np.ndarray) -> np.ndarray:
         return np.where(np.asarray(xi, dtype=float) >= 0.0, self.h_plus, self.h_minus)
@@ -65,7 +58,7 @@ class HomogeneousTerm:
         out = np.zeros_like(r)
         live = r > 0.25
         out[live] = (
-            self.cutoff(r[live]) * r[live] ** self.order * self.angular(xi[live])
+            low_freq_cutoff(r[live]) * r[live] ** self.order * self.angular(xi[live])
         )
         return out
 

@@ -3,12 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import symrec
 from symrec.cli_io import (
+    _DISPATCH,
     ExperimentConfig,
     TermSpec,
     config_digest,
@@ -18,6 +20,8 @@ from symrec.cli_io import (
     serialize_config,
 )
 from symrec.errors import ConfigError
+
+COMMANDS = tuple(_DISPATCH)
 
 TWO_TERM_CFG = """
 # two-term observable, orders one and zero
@@ -67,6 +71,12 @@ class TestConfig:
         again = parse_config(text)
         assert again == cfg
         assert serialize_config(again) == text
+
+    def test_digest_pinned(self):
+        # config_digest feeds experiment_id, which every CSV row carries
+        assert config_digest(parse_config(TWO_TERM_CFG)) == (
+            "5ab4418f2000756db9643c4fb586b328cbf091a6db5cf35b6be9a66421b77629"
+        )
 
     def test_digest_ignores_execution_knobs(self):
         cfg = parse_config(TWO_TERM_CFG)
@@ -190,10 +200,30 @@ class TestCommands:
                 "subtract = self\nx0_grid = -0.5, 0.0, 0.0, 0.25, 0.5", 2,
                 id="subtract = self, a repeated x0 point-2",
             ),
+            # an explicit count meets the cap before any node is built
+            ("average_nodes = 100000", 3),
         ],
     )
     def test_failure_contract(self, tmp_path, capsys, line, code):
         _assert_one_line_failure(tmp_path, capsys, "recover", line, code)
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("recover", "averaged_margin = 1e6"),
+            ("recover", "lambda_2 = 1e300"),
+            ("recover", "scale = 1e300"),
+            ("noise-stats", "scale = 1e300"),
+            *[(command, "profile_sharpness = 400") for command in COMMANDS],
+            ("noise-stats", "beta = 1e300"),
+            ("nonconvergence", "beta = 1e300"),
+            ("asymptotics", "grid = 1e300"),
+            ("recover", "symbol_1_order = 1e300"),
+            ("asymptotics", "symbol_1_order = 1e300"),
+        ],
+    )
+    def test_overflow_exit_3(self, tmp_path, capsys, command, line):
+        _assert_one_line_failure(tmp_path, capsys, command, line, 3)
 
     @pytest.mark.parametrize(
         "command, line, key",
@@ -219,6 +249,14 @@ class TestCommands:
             ("asymptotics", "grid =", "grid"),
             ("nonconvergence", "threshold = 0\nterm = 2", "threshold"),
             ("nonconvergence", "threshold = -1\nterm = 2", "threshold"),
+            ("recover", "schema_version = 7", "schema_version"),
+            ("noise-stats", "subtract = bogus", "subtract"),
+            ("asymptotics", "subtract = bogus", "subtract"),
+            ("recover", "mode = bogus", "mode"),
+            ("noise-stats", "mode = bogus", "mode"),
+            ("asymptotics", "mode = bogus", "mode"),
+            ("recover", "lambda_0 = 3", "lambda_"),
+            ("recover", "lambda_-1 = 3", "lambda_"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):
@@ -241,16 +279,13 @@ class TestCommands:
         assert done.stdout.strip() == "[]"
 
     def test_workers_flag_below_one_exit_2(self, cfg_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["recover", "--config", str(cfg_path), "--workers", "0", "--quiet"])
-        assert exc.value.code == 2
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        # the flags get the config's own domain checks
+        assert main(["recover", "--config", str(cfg_path), "--workers", "0", "--quiet"]) == 2
+        assert "cli_io: workers must be >= 1" in capsys.readouterr().err
 
     def test_trials_flag_below_one_exit_2(self, cfg_path, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["recover", "--config", str(cfg_path), "--trials", "0", "--quiet"])
-        assert exc.value.code == 2
-        assert "--trials must be >= 1" in capsys.readouterr().err
+        assert main(["recover", "--config", str(cfg_path), "--trials", "0", "--quiet"]) == 2
+        assert "cli_io: trials must be >= 1" in capsys.readouterr().err
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["recover", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -373,3 +408,9 @@ class TestPlotData:
         assert lines[0] == "# demo"
         assert lines[1] == "# x y"
         assert lines[2].split() == ["1.0", "3.0"]
+
+
+def test_all_lists_no_module():
+    # ``from symrec import *`` binds the public names, not the submodules
+    modules = [n for n in symrec.__all__ if isinstance(getattr(symrec, n), types.ModuleType)]
+    assert modules == []

@@ -29,7 +29,7 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     orders=_float_lists,
     grid=st.lists(_scales, min_size=1, max_size=4).map(tuple),
     scale=_scales,
-    average_nodes=st.integers(0, 10**6),
+    average_nodes=st.one_of(st.just(0), st.integers(2, 10**6)),
     trials=st.integers(1, 10**6),
     seed=st.integers(-(2**63), 2**63),
     out=st.text("abc/_-.0123456789", min_size=1, max_size=12),

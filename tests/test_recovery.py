@@ -6,6 +6,7 @@ import pytest
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import (
+    MAX_AVERAGE_NODES,
     MeasurementModel,
     RecoverySession,
     TabulatedCoeff,
@@ -140,6 +141,12 @@ class TestAveragedEstimate:
         plan = plan_orders([1.0, 0.0, -1.0], 0.0, lambda_overrides={2: 4.0})
         with pytest.raises(NumericalError, match="cap"):
             TermDesign.for_term(two_term_model, plan, 2, 64.0)
+
+    def test_node_cap_holds_for_an_explicit_count(self, two_term_model, two_term_plan):
+        with pytest.raises(NumericalError, match="cap"):
+            TermDesign.for_term(
+                two_term_model, two_term_plan, 2, 8.0, n_nodes=MAX_AVERAGE_NODES + 1
+            )
 
 
 def test_subtraction_telescoping(two_term_model):

@@ -5,10 +5,10 @@ from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.symbols import (
     HomogeneousTerm,
-    LowFreqCutoff,
     Observable,
     SymbolExpansion,
     asymptotic_error_probe,
+    low_freq_cutoff,
     packet_quadratic_form,
 )
 from symrec.wave_packets import WavePacketFamily
@@ -45,10 +45,9 @@ def test_exact_homogeneity():
 
 
 def test_cutoff_plateaus():
-    psi = LowFreqCutoff()
-    assert psi(np.array([0.2]))[0] == 0.0
-    assert psi(np.array([0.6]))[0] == 1.0
-    mid = psi(np.linspace(0.26, 0.49, 20))
+    assert low_freq_cutoff(np.array([0.2]))[0] == 0.0
+    assert low_freq_cutoff(np.array([0.6]))[0] == 1.0
+    mid = low_freq_cutoff(np.linspace(0.26, 0.49, 20))
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) > 0)
 
