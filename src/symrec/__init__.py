@@ -36,7 +36,6 @@ from .stats_harness import (
 )
 from .symbols import (
     HomogeneousTerm,
-    Observable,
     SymbolExpansion,
     asymptotic_error_probe,
     packet_quadratic_form,

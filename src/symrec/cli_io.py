@@ -40,7 +40,7 @@ from .stats_harness import (
     rate_certificate_experiment,
     variance_scaling_experiment,
 )
-from .symbols import HomogeneousTerm, Observable, SymbolExpansion, asymptotic_error_probe
+from .symbols import HomogeneousTerm, SymbolExpansion, asymptotic_error_probe
 from .wave_packets import make_profile
 
 SCHEMA_VERSION = 1
@@ -139,6 +139,7 @@ _DOMAINS = (
     ("term", lambda v: v >= 1, ">= 1"),
     ("mode", lambda v: v in ("plain", "averaged"), "plain or averaged"),
     ("threshold", lambda v: v > 0.0, "> 0"),
+    ("alert_threshold", lambda v: v > 0.0, "> 0"),
     ("rate_eps", _each(lambda e: e > 0.0), "non-empty with each value > 0"),
     ("rate_delta", _each(lambda d: 0.0 < d <= 1.0), "non-empty with each value in (0, 1]"),
     ("lambda_overrides", lambda v: all(j >= 1 for j, _ in v), "indexed by terms j >= 1"),
@@ -252,9 +253,6 @@ def config_digest(cfg: ExperimentConfig) -> str:
 
 @dataclass(frozen=True)
 class ResultRow:
-    schema_version: int
-    experiment_id: str
-    command: str
     term_index: int
     parameter: float
     value_re: float
@@ -267,7 +265,10 @@ class ResultRow:
     wall_time_s: str = "NA"   # deterministic placeholder; timing lives in the manifest
 
 
-RESULT_COLUMNS = [f.name for f in dataclasses.fields(ResultRow)]
+# The CSV columns: three shared by every row of a run, then the row's own.
+RESULT_COLUMNS = ["schema_version", "experiment_id", "command"] + [
+    f.name for f in dataclasses.fields(ResultRow)
+]
 
 
 def _fmt(value) -> str:
@@ -278,10 +279,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_rows_csv(path: Path, rows: list) -> None:
+def write_rows_csv(path: Path, rows: list, prefix: tuple) -> None:
+    """Write ``rows`` under RESULT_COLUMNS, each led by the ``prefix``
+    values of the shared columns."""
+    lead = [_fmt(v) for v in prefix]
+    own = RESULT_COLUMNS[len(lead):]
     lines = [",".join(RESULT_COLUMNS)]
     for row in rows:
-        lines.append(",".join(_fmt(getattr(row, col)) for col in RESULT_COLUMNS))
+        lines.append(",".join(lead + [_fmt(getattr(row, col)) for col in own]))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -323,7 +328,7 @@ def emit_plot_data(out_dir: Path, name: str, columns: dict, header: str = "") ->
 # ---------------------------------------------------------------------------
 
 
-def _build_observable(cfg: ExperimentConfig, pad_to: int = 0) -> Observable:
+def _build_observable(cfg: ExperimentConfig, pad_to: int = 0) -> SymbolExpansion:
     if not cfg.terms:
         raise ConfigError("cli_io: config defines no symbol terms")
     try:
@@ -341,7 +346,7 @@ def _build_observable(cfg: ExperimentConfig, pad_to: int = 0) -> Observable:
     plan_orders_list = cfg.plan_order_list()
     for j in range(len(terms), min(pad_to, len(plan_orders_list))):
         terms.append(HomogeneousTerm(plan_orders_list[j], parse_coeff("0")))
-    return Observable(SymbolExpansion(tuple(terms)))
+    return SymbolExpansion(tuple(terms))
 
 
 def _build_model(cfg: ExperimentConfig, pad_to: int = 0) -> MeasurementModel:
@@ -377,7 +382,7 @@ def _lambda_for(cfg: ExperimentConfig, j: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_recover(cfg: ExperimentConfig):
     plan = _build_plan(cfg)
     model = _build_model(cfg, pad_to=plan.k_beta)
     session = RecoverySession(
@@ -387,7 +392,6 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         cfg.scale,
         subtract_mode=cfg.subtract,
         n_nodes=cfg.average_nodes or None,
-        alert_threshold=cfg.alert_threshold,
         noise=cfg.noise,
     )
     seeds = [child_seed(cfg.seed, trial, "recover-trial") for trial in range(cfg.trials)]
@@ -403,9 +407,8 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         for r in report.rows:
             rows.append(
                 ResultRow(
-                    SCHEMA_VERSION, experiment_id, "recover", r.term_index, r.x0,
-                    r.estimate.real, r.estimate.imag, r.truth, r.abs_error,
-                    float("nan"), float("nan"), r.seed,
+                    r.term_index, r.x0, r.estimate.real, r.estimate.imag, r.truth,
+                    r.abs_error, float("nan"), float("nan"), r.seed,
                 )
             )
 
@@ -431,7 +434,7 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
         "subtract": cfg.subtract,
         "trials": cfg.trials,
         "per_term": per_term,
-        "alerts": sum(len(rep.alerts) for rep in reports),
+        "alerts": sum(r.abs_error > cfg.alert_threshold for rep in reports for r in rep.rows),
     }
 
     plots = {}
@@ -461,7 +464,7 @@ def _cmd_recover(cfg: ExperimentConfig, experiment_id: str):
     return rows, summary, plots
 
 
-def _cmd_noise_stats(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_noise_stats(cfg: ExperimentConfig):
     # scipy.stats takes about 0.5 s to import; only this command uses it.
     from scipy.stats import ks_2samp
 
@@ -514,20 +517,17 @@ def _cmd_noise_stats(cfg: ExperimentConfig, experiment_id: str):
         "ks_pvalue": float(ks.pvalue),
     }
     rows = [
-        ResultRow(SCHEMA_VERSION, experiment_id, "noise-stats", 0, t0,
-                  ratio, 0.0, 1.0, abs(ratio - 1.0), float("nan"),
+        ResultRow(0, t0, ratio, 0.0, 1.0, abs(ratio - 1.0), float("nan"),
                   3.0 * ratio_stderr, cfg.seed),
-        ResultRow(SCHEMA_VERSION, experiment_id, "noise-stats", 0, t0,
-                  pseudo.real, pseudo.imag, 0.0, abs(pseudo), float("nan"),
+        ResultRow(0, t0, pseudo.real, pseudo.imag, 0.0, abs(pseudo), float("nan"),
                   3.0 * pseudo_stderr, cfg.seed),
-        ResultRow(SCHEMA_VERSION, experiment_id, "noise-stats", 0, t0,
-                  float(rel_dev.max()), 0.0, 0.0, float(rel_dev.max()),
+        ResultRow(0, t0, float(rel_dev.max()), 0.0, 0.0, float(rel_dev.max()),
                   float("nan"), 0.05, cfg.seed),
     ]
     return rows, summary, {}
 
 
-def _cmd_variance_scaling(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_variance_scaling(cfg: ExperimentConfig):
     model = _build_model(cfg)
     j = cfg.term
     if j < 1 or j > len(model.observable.terms):
@@ -540,8 +540,7 @@ def _cmd_variance_scaling(cfg: ExperimentConfig, experiment_id: str):
     )
     rows = [
         ResultRow(
-            SCHEMA_VERSION, experiment_id, "variance-scaling", j, float(g),
-            float(result.empirical_var[i]), 0.0, float(result.kernel_var[i]),
+            j, float(g), float(result.empirical_var[i]), 0.0, float(result.kernel_var[i]),
             abs(result.empirical_var[i] - result.kernel_var[i]),
             float(result.empirical_var[i]), float("nan"), cfg.seed,
         )
@@ -579,7 +578,7 @@ def _cmd_variance_scaling(cfg: ExperimentConfig, experiment_id: str):
     return rows, summary, plots
 
 
-def _cmd_nonconvergence(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_nonconvergence(cfg: ExperimentConfig):
     model = _build_model(cfg)
     lam = _lambda_for(cfg, cfg.term)
     curve = nonconvergence_experiment(
@@ -587,8 +586,7 @@ def _cmd_nonconvergence(cfg: ExperimentConfig, experiment_id: str):
     )
     rows = [
         ResultRow(
-            SCHEMA_VERSION, experiment_id, "nonconvergence", cfg.term, float(g),
-            float(curve.p_hat[i]), 0.0, float(curve.p_closed_form[i]),
+            cfg.term, float(g), float(curve.p_hat[i]), 0.0, float(curve.p_closed_form[i]),
             abs(curve.p_hat[i] - curve.p_closed_form[i]),
             float(curve.sigma_sq[i]), float(curve.half_width[i]), cfg.seed,
         )
@@ -619,7 +617,7 @@ def _cmd_nonconvergence(cfg: ExperimentConfig, experiment_id: str):
     return rows, summary, plots
 
 
-def _cmd_rate(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_rate(cfg: ExperimentConfig):
     plan = _build_plan(cfg)
     model = _build_model(cfg, pad_to=plan.k_beta)
     surface = rate_certificate_experiment(
@@ -630,8 +628,7 @@ def _cmd_rate(cfg: ExperimentConfig, experiment_id: str):
     for cert in surface.certificates:
         rows.append(
             ResultRow(
-                SCHEMA_VERSION, experiment_id, "rate", cfg.term, cert.n0,
-                cert.eps, cert.delta, float("nan"), float("nan"),
+                cfg.term, cert.n0, cert.eps, cert.delta, float("nan"), float("nan"),
                 float("nan"), float("nan"), cfg.seed,
             )
         )
@@ -661,7 +658,7 @@ def _cmd_rate(cfg: ExperimentConfig, experiment_id: str):
     return rows, summary, plots
 
 
-def _cmd_asymptotics(cfg: ExperimentConfig, experiment_id: str):
+def _cmd_asymptotics(cfg: ExperimentConfig):
     model = _build_model(cfg)
     lam = _lambda_for(cfg, 1)
     family = model.family_for(lam)
@@ -673,8 +670,8 @@ def _cmd_asymptotics(cfg: ExperimentConfig, experiment_id: str):
         expected = -min(1.0, lam * (orders[0] - orders[1]), lam - 1.0)
     rows = [
         ResultRow(
-            SCHEMA_VERSION, experiment_id, "asymptotics", 1, float(t),
-            float(probe["scaled_values"][i].real), float(probe["scaled_values"][i].imag),
+            1, float(t), float(probe["scaled_values"][i].real),
+            float(probe["scaled_values"][i].imag),
             float(probe["truth"].real), float(probe["errors"][i]),
             float("nan"), float("nan"), cfg.seed,
         )
@@ -746,14 +743,14 @@ def run_command(
         # Overflow and 0/0 raise here and exit 3.  numpy's error state is a
         # context variable, so it does not reach parallel_map's pool threads.
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            rows, summary, plots = _DISPATCH[name](cfg, experiment_id)
+            rows, summary, plots = _DISPATCH[name](cfg)
         _require_finite(rows, summary)
 
         out = Path(out_dir if out_dir is not None else cfg.out)
         out.mkdir(parents=True, exist_ok=True)
         slug = name.replace("-", "_")
         csv_path = out / f"{slug}_rows.csv"
-        write_rows_csv(csv_path, rows)
+        write_rows_csv(csv_path, rows, (SCHEMA_VERSION, experiment_id, name))
         summary_path = out / f"{slug}_summary.json"
         write_json(summary_path, summary)
         plot_paths = []

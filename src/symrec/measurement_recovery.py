@@ -41,7 +41,7 @@ from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_functional, sample_path
 from .rng import child_seed, complex_normal_dot, rng_for
 from .symbols import (
-    HomogeneousTerm, Observable, packet_quadratic_form, spectral_transform,
+    HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
 )
 from .wave_packets import PacketProfile, WavePacketFamily
 
@@ -55,16 +55,14 @@ SPLINE_FORM_CHUNK = 2048          # nodes per moment pass of spline_form_sums
 class MeasurementModel:
     """Ground truth observable plus the measurement setting."""
 
-    observable: Observable
+    observable: SymbolExpansion
     beta: float
     x0: float
     xi0: float
     profile: PacketProfile
 
-    def family_for(self, lam: float, x0: float | None = None) -> WavePacketFamily:
-        return WavePacketFamily(
-            self.x0 if x0 is None else float(x0), self.xi0, float(lam), self.profile
-        )
+    def family_for(self, lam: float) -> WavePacketFamily:
+        return WavePacketFamily(self.x0, self.xi0, float(lam), self.profile)
 
     def truth(self, j: int, x0: float | None = None) -> complex:
         term = self.observable.terms[j - 1]
@@ -215,10 +213,9 @@ class TermDesign:
         N: float,
         n_nodes: int | None = None,
         noise: bool = True,
-        x0: float | None = None,
     ) -> "TermDesign":
         return cls(
-            model.family_for(plan.lam(j), x0), model.beta, plan.m_list[j - 1],
+            model.family_for(plan.lam(j)), model.beta, plan.m_list[j - 1],
             plan.mode(j), N, n_nodes, noise,
         )
 
@@ -227,7 +224,7 @@ class TermDesign:
         array x0 adds a leading base-point axis)."""
         return packet_quadratic_form(self.family, self.nodes, P, x0)
 
-    def form_and_signal(self, observable: Observable, j: int, x0=None) -> tuple:
+    def form_and_signal(self, observable: SymbolExpansion, j: int, x0=None) -> tuple:
         """(f_t|P f_t) and the oracle-subtracted signal of term j: the sum of
         the forms of terms j and later, which equals that form minus the
         forms of terms 1..j-1 without cancelling the larger earlier ones.
@@ -236,7 +233,7 @@ class TermDesign:
         form = sum(per_term, 0j)
         return form, sum(per_term[j - 1 :], np.zeros_like(form))
 
-    def signal(self, observable: Observable, j: int, x0: float | None = None) -> np.ndarray:
+    def signal(self, observable: SymbolExpansion, j: int, x0=None) -> np.ndarray:
         """The oracle-subtracted signal of term j."""
         return self.form_and_signal(observable, j, x0)[1]
 
@@ -377,11 +374,7 @@ def spline_form_sums(
 class RecoveryRow:
     term_index: int
     x0: float
-    xi0: float
-    mode: str
     subtract: str
-    lam: float
-    scale: float
     estimate: complex
     truth: float
     abs_error: float
@@ -392,10 +385,8 @@ class RecoveryRow:
 class EstimatorReport:
     """Per-term recovery results plus plot-ready trajectories."""
 
-    plan: OrderPlan
     rows: list
     trajectories: dict = field(default_factory=dict)
-    alerts: list = field(default_factory=list)
 
     def errors(self, subtract: str = "oracle") -> np.ndarray:
         return np.array([r.abs_error for r in self.rows if r.subtract == subtract])
@@ -416,7 +407,6 @@ class RecoverySession:
         N: float,
         subtract_mode: str = "oracle",
         n_nodes: int | None = None,
-        alert_threshold: float = 0.5,
         noise: bool = True,
     ):
         if subtract_mode not in ("oracle", "self", "both"):
@@ -441,7 +431,6 @@ class RecoverySession:
         self.modes = ("oracle", "self") if subtract_mode == "both" else (subtract_mode,)
         # the mode whose trajectories are kept: only x0_grid[0]'s are plotted
         self.plotted_mode = "oracle" if subtract_mode == "both" else subtract_mode
-        self.alert_threshold = float(alert_threshold)
 
         # Per term j, over the grid points i: the truths a_j(x0_i); the oracle
         # estimates w @ signal; the weighted forms w @ (f_t|P f_t), which
@@ -496,7 +485,7 @@ class RecoverySession:
         report also keeps the per-node contributions of the plotted mode's
         estimates at x0_grid[0], whose noise is the full path L z of the
         same draw z; the estimates take only u @ z either way."""
-        report = EstimatorReport(self.plan, [])
+        report = EstimatorReport([])
         grid = range(self.x0_grid.size)
         noise = {
             j: np.array([design.noise(child_seed(seed, "recover", j, i)) for i in grid])
@@ -512,26 +501,11 @@ class RecoverySession:
                     for k, prior in enumerate(recovered, start=1):
                         estimates = estimates - self.cardinal_sums[(j, k)] @ prior
                     estimates = estimates + noise[j]
-                for i, x0 in enumerate(self.x0_grid):
-                    truth = self.truths[j][i]
-                    err = float(abs(estimates[i] - truth))
-                    report.rows.append(
-                        RecoveryRow(
-                            term_index=j,
-                            x0=float(x0),
-                            xi0=self.model.xi0,
-                            mode=self.plan.mode(j),
-                            subtract=subtract,
-                            lam=self.plan.lam(j),
-                            scale=self.N,
-                            estimate=complex(estimates[i]),
-                            truth=truth,
-                            abs_error=err,
-                            seed=int(seed),
-                        )
-                    )
-                    if err > self.alert_threshold:
-                        report.alerts.append((subtract, j, float(x0), err))
+                for x0, estimate, truth in zip(self.x0_grid, estimates, self.truths[j]):
+                    report.rows.append(RecoveryRow(
+                        j, float(x0), subtract, complex(estimate), truth,
+                        float(abs(estimate - truth)), int(seed),
+                    ))
                 if trajectories and subtract == self.plotted_mode:
                     signal = self.plotted_signals[j]
                     if subtract == "self":

@@ -97,14 +97,14 @@ class NoiseKernel:
     """Covariance of the error values over an ordered node set.
 
     The matrix is real, symmetric, entrywise nonnegative and positive
-    semidefinite; it is stored by its upper diagonals (``offsets`` paired
-    with ``bands``, where bands[k][i] = C[i, i + offsets[k]]).
+    semidefinite; it is stored in the lower banded layout that
+    ``scipy.linalg.cholesky_banded(lower=True)`` takes: banded[d, i] =
+    C[i + d, i] for the diagonals d = 0..bandwidth, zero for i + d >= size.
     """
 
     nodes: np.ndarray
     beta: float
-    offsets: tuple
-    bands: tuple
+    banded: np.ndarray
     _factor: tuple = field(default=None, repr=False)
 
     @property
@@ -112,37 +112,38 @@ class NoiseKernel:
         return self.nodes.size
 
     @property
+    def offsets(self) -> range:
+        """The stored diagonal offsets 0..bandwidth."""
+        return range(self.banded.shape[0])
+
+    @property
     def diagonal(self) -> np.ndarray:
-        return self.bands[self.offsets.index(0)]
+        return self.banded[0]
 
     @property
     def trace(self) -> float:
         return float(np.sum(self.diagonal))
 
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.size, self.size))
-        for off, band in zip(self.offsets, self.bands):
-            i = np.arange(self.size - off)
-            out[i, i + off] = band
-            if off > 0:
-                out[i + off, i] = band
+        n = self.size
+        out = np.zeros((n, n))
+        for off, band in enumerate(self.banded):
+            i = np.arange(n - off)
+            out[i, i + off] = out[i + off, i] = band[: n - off]
         return out
 
     def quad_form(self, w: np.ndarray) -> float:
         """w^T C w for a real weight vector."""
         w = np.asarray(w, dtype=float)
         total = 0.0
-        for off, band in zip(self.offsets, self.bands):
+        for off, band in enumerate(self.banded):
             if off == 0:
                 total += float(np.sum(band * w * w))
             else:
-                total += 2.0 * float(np.sum(band * w[:-off] * w[off:]))
+                total += 2.0 * float(np.sum(band[:-off] * w[:-off] * w[off:]))
         return total
 
     # -- factorization ---------------------------------------------------
-
-    def _bandwidth(self) -> int:
-        return max(self.offsets)
 
     def factor(self):
         """A real factor L with L L^T = C, cached after the first call."""
@@ -163,14 +164,10 @@ class NoiseKernel:
             self._factor = ("dense", root)
             return self._factor
 
-        bw = self._bandwidth()
-        ab = np.zeros((bw + 1, self.size))
-        for off, band in zip(self.offsets, self.bands):
-            ab[off, : self.size - off] = band
         scale = self.trace
         for jitter in (0.0, 1e-14, 1e-12, _PSD_TOL):
             try:
-                work = ab.copy()
+                work = self.banded.copy()
                 work[0] += jitter * scale
                 chol = scipy.linalg.cholesky_banded(work, lower=True)
                 self._factor = ("banded", chol)
@@ -232,40 +229,32 @@ def build_kernel(
 
     gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
     gram_r = 0.5 * (gram + gram.getH()).real
-    offsets, bands = _upper_bands(gram_r.multiply(gram_r).tocoo())
+    banded = _banded(gram_r.multiply(gram_r).tocoo())
 
-    kernel = NoiseKernel(nodes=nodes, beta=float(beta), offsets=offsets, bands=bands)
-    diag = kernel.diagonal
+    diag = banded[0]
     if np.any(diag <= 0.0):
         raise NumericalError("noise_engine: kernel diagonal must be positive")
-    floor = -_PSD_TOL * float(np.sum(diag))
-    for band in kernel.bands:
-        if band.min(initial=0.0) < floor:
-            raise NumericalError(
-                "noise_engine: kernel entries must be nonnegative "
-                f"(found {band.min():.3e})"
-            )
-    kernel.bands = tuple(np.clip(b, 0.0, None) for b in kernel.bands)
-    return kernel
+    if banded.min() < -_PSD_TOL * float(np.sum(diag)):
+        raise NumericalError(
+            f"noise_engine: kernel entries must be nonnegative (found {banded.min():.3e})"
+        )
+    return NoiseKernel(nodes=nodes, beta=float(beta), banded=np.clip(banded, 0.0, None))
 
 
-def _upper_bands(cov: scipy.sparse.coo_matrix) -> tuple[tuple, tuple]:
-    """Main and nonzero upper diagonals: bands[k][i] = cov[i, i + offsets[k]].
+def _banded(cov: scipy.sparse.coo_matrix) -> np.ndarray:
+    """The lower banded layout of a symmetric matrix (see ``NoiseKernel``),
+    filled from the entries on and above the diagonal: cov[i, i + d] goes
+    to [d, i].
 
     Read straight from the COO entries; ``todia`` would build the lower
     diagonals too and warns once a kernel has more than 100 of them.
     """
-    n = cov.shape[0]
     upper = (cov.col >= cov.row) & (cov.data != 0.0)
     rows = cov.row[upper]
     offs = cov.col[upper] - rows
-    offsets = np.union1d(0, offs)
-    table = np.zeros((offsets.size, n))
-    table[np.searchsorted(offsets, offs), rows] = cov.data[upper]
-    return (
-        tuple(int(off) for off in offsets),
-        tuple(table[k, : n - off] for k, off in enumerate(offsets)),
-    )
+    out = np.zeros((int(offs.max(initial=0)) + 1, cov.shape[0]))
+    out[offs, rows] = cov.data[upper]
+    return out
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:

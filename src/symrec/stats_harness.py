@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import JapaneseBracketWeight, build_kernel, sample_path
-from .rng import child_seed, rng_for, standard_complex_normal
+from .rng import child_seed
 from .wave_packets import WavePacketFamily
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
@@ -99,7 +99,6 @@ def _check_geometric(grid: np.ndarray, what: str) -> None:
 
 @dataclass(frozen=True)
 class VarianceScalingResult:
-    target: str
     grid: np.ndarray
     empirical_var: np.ndarray
     kernel_var: np.ndarray
@@ -179,36 +178,20 @@ def variance_scaling_experiment(
     empirical = np.empty(grid.size)
     kernel_var = np.empty(grid.size)
     continuum = np.empty(grid.size) if target == "averaged" else None
-
+    key = "plain-variance" if target == "plain" else "avg-variance"
+    for gi, g in enumerate(grid):
+        design = TermDesign(family_template, beta, m, target, g)
+        kernel_var[gi] = design.kernel.quad_form(design.weights)
+        if continuum is not None:
+            continuum[gi] = continuum_average_variance(family_template, beta, m, g)
+        empirical[gi] = complex_variance(design.noise_batch(trials, master_seed, key, gi))
     if target == "plain":
-        kernel_diag = np.empty(grid.size)
-        for gi, t in enumerate(grid):
-            k = build_kernel(family_template, [t], beta)
-            kernel_diag[gi] = k.diagonal[0]
-        scales = grid ** (-lam * m)
-        kernel_var = scales ** 2 * kernel_diag
-        z = np.empty((trials, grid.size), dtype=complex)
-        for trial in range(trials):
-            rng = rng_for(master_seed, trial, "plain-variance")
-            z[trial] = standard_complex_normal(rng, grid.size)
-        samples = z * (scales * np.sqrt(kernel_diag))
-        for gi in range(grid.size):
-            empirical[gi] = complex_variance(samples[:, gi])
         expected = -2.0 * lam * (m - 2.0 * beta)
     else:
-        for gi, T in enumerate(grid):
-            design = TermDesign(family_template, beta, m, "averaged", T)
-            kernel_var[gi] = design.kernel.quad_form(design.weights)
-            continuum[gi] = continuum_average_variance(family_template, beta, m, T)
-            empirical[gi] = complex_variance(
-                design.noise_batch(trials, master_seed, "avg-variance", gi)
-            )
         expected = 2.0 * lam * (2.0 * beta - 0.5 - m) + 1.0
 
     regression = SlopeRegression.fit(np.log(grid), np.log(empirical))
-    return VarianceScalingResult(
-        target, grid, empirical, kernel_var, continuum, regression, expected
-    )
+    return VarianceScalingResult(grid, empirical, kernel_var, continuum, regression, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +299,7 @@ class RateCertificate:
 class RateSurface:
     n_grid: np.ndarray
     eps_list: tuple
-    delta_list: tuple
     success: np.ndarray        # Wilson centers, shape (n_grid, eps)
-    errors: np.ndarray         # |estimate - truth|, shape (n_grid, trials)
     certificates: tuple
     c_emp: float
     theta_emp: float
@@ -409,8 +390,7 @@ def rate_certificate_experiment(
     for (eps, delta), n0 in n0_values.items():
         certificates.append(RateCertificate(eps, delta, n0, c_emp, theta_emp))
     return RateSurface(
-        n_grid, eps_list, delta_list, success_tbl, errors,
-        tuple(certificates), c_emp, theta_emp,
+        n_grid, eps_list, success_tbl, tuple(certificates), c_emp, theta_emp
     )
 
 

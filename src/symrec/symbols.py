@@ -69,7 +69,8 @@ class HomogeneousTerm:
 
 @dataclass(frozen=True)
 class SymbolExpansion:
-    """Finitely many homogeneous terms with strictly decreasing orders."""
+    """Finitely many homogeneous terms with strictly decreasing orders.  As
+    the simulated observable, it is taken as the exact symbol."""
 
     terms: tuple
 
@@ -85,32 +86,8 @@ class SymbolExpansion:
             )
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def orders(self) -> list:
-        return [t.order for t in self.terms]
-
-    def eval(self, x, xi) -> np.ndarray:
-        total = None
-        for term in self.terms:
-            v = term.eval(x, xi)
-            total = v if total is None else total + v
-        return total
-
-
-@dataclass(frozen=True)
-class Observable:
-    """The simulated ground truth: a finite expansion taken as exact symbol."""
-
-    symbol: SymbolExpansion
-
-    @property
-    def terms(self) -> tuple:
-        return self.symbol.terms
-
 
 def _as_terms(P) -> tuple:
-    if isinstance(P, Observable):
-        return P.terms
     if isinstance(P, SymbolExpansion):
         return P.terms
     if isinstance(P, HomogeneousTerm):
@@ -166,7 +143,7 @@ def packet_quadratic_form(
 
 
 def asymptotic_error_probe(
-    P: Observable, family: WavePacketFamily, t_list
+    P: SymbolExpansion, family: WavePacketFamily, t_list
 ) -> dict:
     """Noise-free scaling errors |t^(-lam*m) (f_t|Pf_t) - a_1(x0, xi0)|."""
     t_list = np.asarray(t_list, dtype=float)

@@ -3,7 +3,7 @@ import pytest
 
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import MeasurementModel, plan_orders
-from symrec.symbols import HomogeneousTerm, Observable, SymbolExpansion
+from symrec.symbols import HomogeneousTerm, SymbolExpansion
 from symrec.wave_packets import WavePacketFamily, make_profile
 
 
@@ -24,7 +24,7 @@ def two_term_model(profile):
         HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)")),
         HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
     )
-    observable = Observable(SymbolExpansion(terms))
+    observable = SymbolExpansion(terms)
     return MeasurementModel(observable, beta=0.0, x0=0.0, xi0=1.0, profile=profile)
 
 

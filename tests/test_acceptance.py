@@ -25,7 +25,6 @@ from symrec.stats_harness import (
 )
 from symrec.symbols import (
     HomogeneousTerm,
-    Observable,
     SymbolExpansion,
     asymptotic_error_probe,
 )
@@ -47,7 +46,7 @@ def two_term(profile):
         HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
     )
     model = MeasurementModel(
-        Observable(SymbolExpansion(terms)), 0.0, 0.0, 1.0, profile
+        SymbolExpansion(terms), 0.0, 0.0, 1.0, profile
     )
     plan = plan_orders([1.0, 0.0, -1.0], 0.0)
     return model, plan
@@ -123,22 +122,18 @@ def test_criterion_4_deterministic_rates(profile):
     cases = []
     # remainder-dominated pairs so the stated min(...) rate is attained
     fam_a = WavePacketFamily(0.0, 1.0, 2.0, profile)
-    sym_a = Observable(
-        SymbolExpansion(
-            (
-                HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)")),
-                HomogeneousTerm(0.5, parse_coeff("0.5 + 0.2*cos(x)")),
-            )
+    sym_a = SymbolExpansion(
+        (
+            HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)")),
+            HomogeneousTerm(0.5, parse_coeff("0.5 + 0.2*cos(x)")),
         )
     )
     cases.append((sym_a, fam_a, -min(1.0, 2.0 * 0.5, 1.0)))
     fam_b = WavePacketFamily(0.0, 1.0, 2.5, profile)
-    sym_b = Observable(
-        SymbolExpansion(
-            (
-                HomogeneousTerm(2.0, parse_coeff("1 + 0.2*sin(x)")),
-                HomogeneousTerm(1.8, parse_coeff("0.5 + 0.2*cos(x)")),
-            )
+    sym_b = SymbolExpansion(
+        (
+            HomogeneousTerm(2.0, parse_coeff("1 + 0.2*sin(x)")),
+            HomogeneousTerm(1.8, parse_coeff("0.5 + 0.2*cos(x)")),
         )
     )
     cases.append((sym_b, fam_b, -min(1.0, 2.5 * 0.2, 1.5)))
@@ -200,12 +195,12 @@ def test_criterion_7_end_to_end_recovery(two_term):
 
 
 def test_criterion_8_nonconvergence(profile):
-    P0 = Observable(SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("0.7")),)))
+    P0 = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("0.7")),))
     plain_model = MeasurementModel(P0, 0.5, 0.0, 1.0, profile)  # m = 0 < 2*beta
     plain = nonconvergence_experiment(
         plain_model, 1, "plain", 2.0, 6.0, np.geomspace(3, 8.485, 4), 1000, 108
     )
-    Pm = Observable(SymbolExpansion((HomogeneousTerm(-0.5, parse_coeff("0.7")),)))
+    Pm = SymbolExpansion((HomogeneousTerm(-0.5, parse_coeff("0.7")),))
     avg_model = MeasurementModel(Pm, 0.0, 0.0, 1.0, profile)  # m = 2*beta - 1/2
     averaged = nonconvergence_experiment(
         avg_model, 1, "averaged", 2.0, 1.5, np.geomspace(3, 24, 4), 1000, 109

@@ -153,6 +153,26 @@ class TestCommands:
         assert manifest["seed"] == 42
         assert "wall_time_s" in manifest
 
+    def test_recover_alerts_match_rows(self, tmp_path):
+        # 0.1 splits the rows: every term-1 row is within it, and term 2's
+        # oracle rows straddle it while its self rows lie far above
+        threshold = 0.1
+        path = tmp_path / "both.cfg"
+        path.write_text(TWO_TERM_CFG + f"subtract = both\nalert_threshold = {threshold}\n")
+        out = tmp_path / "out"
+        assert main(["recover", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "recover_summary.json").read_text())
+        lines = (out / "recover_rows.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        errors = [float(r["error"]) for r in rows]
+        assert summary["alerts"] == sum(e > threshold for e in errors)
+        assert 0 < summary["alerts"] < len(rows)
+        for j in ("1", "2"):
+            term = [float(r["error"]) for r in rows if r["term_index"] == j]
+            within = sum(e <= threshold for e in term) / len(term)
+            assert summary["per_term"][j]["within_alert"] == within
+
     def test_malformed_orders_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
@@ -257,6 +277,8 @@ class TestCommands:
             ("asymptotics", "mode = bogus", "mode"),
             ("recover", "lambda_0 = 3", "lambda_"),
             ("recover", "lambda_-1 = 3", "lambda_"),
+            ("recover", "alert_threshold = -1", "alert_threshold"),
+            ("recover", "alert_threshold = 0", "alert_threshold"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):

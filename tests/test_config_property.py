@@ -42,7 +42,7 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     lambda_overrides=st.dictionaries(st.integers(1, 9), _floats).map(
         lambda d: tuple(sorted(d.items()))
     ),
-    alert_threshold=_floats,
+    alert_threshold=_positive,
     plain_margin=_floats,
     averaged_margin=_floats,
     terms=st.lists(

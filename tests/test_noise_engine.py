@@ -128,12 +128,23 @@ def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
         assert abs(sample_functional(u, seed) - w @ path) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize("N, n_nodes", [(12.5, 200), (94.0, 1500)])
+def test_quad_form_matches_dense(base_family, rng, N, n_nodes):
+    # one kernel on either side of the dense/banded factor switch
+    kernel = build_kernel(base_family, average_grid(N, n_nodes), 0.0)
+    dense = kernel.dense()
+    w = rng.uniform(0.5, 1.5, kernel.size)
+    want = w @ dense @ w
+    assert abs(kernel.quad_form(w) - want) <= 1e-12 * want
+    rows, cols = np.nonzero(dense)
+    assert max(kernel.offsets) == np.max(np.abs(rows - cols))
+
+
 def test_nonpsd_kernel_rejected():
     bad = NoiseKernel(
         nodes=np.array([1.0, 2.0]),
         beta=0.0,
-        offsets=(0, 1),
-        bands=(np.array([1.0, 1.0]), np.array([2.0])),
+        banded=np.array([[1.0, 1.0], [2.0, 0.0]]),
     )
     with pytest.raises(NumericalError, match="PSD"):
         bad.factor()

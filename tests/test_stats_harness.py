@@ -16,7 +16,6 @@ from symrec.stats_harness import (
 )
 from symrec.symbols import (
     HomogeneousTerm,
-    Observable,
     SymbolExpansion,
     asymptotic_error_probe,
 )
@@ -25,7 +24,7 @@ from symrec.wave_packets import WavePacketFamily
 
 @pytest.fixture(scope="module")
 def constant_order_zero(profile):
-    P = Observable(SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("0.7")),)))
+    P = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("0.7")),))
     return lambda beta: MeasurementModel(P, beta, 0.0, 1.0, profile)
 
 
@@ -150,7 +149,7 @@ class TestNonconvergence:
         assert curve.matches_closed_form()
 
     def test_averaged_failure_regime(self, profile):
-        P = Observable(SymbolExpansion((HomogeneousTerm(-0.5, parse_coeff("0.7")),)))
+        P = SymbolExpansion((HomogeneousTerm(-0.5, parse_coeff("0.7")),))
         model = MeasurementModel(P, 0.0, 0.0, 1.0, profile)  # m = 2*beta - 1/2
         curve = nonconvergence_experiment(
             model, 1, "averaged", 2.0, 1.5, np.geomspace(3, 24, 4), 1000, 23
@@ -246,7 +245,7 @@ class TestTrajectory:
             HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
         )
         noisy_model = MeasurementModel(
-            Observable(SymbolExpansion(terms)), 0.75, 0.0, 1.0, profile
+            SymbolExpansion(terms), 0.75, 0.0, 1.0, profile
         )
         fails = sum(
             not trajectory_as_convergence_check(

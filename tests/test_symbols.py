@@ -5,7 +5,6 @@ from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.symbols import (
     HomogeneousTerm,
-    Observable,
     SymbolExpansion,
     asymptotic_error_probe,
     low_freq_cutoff,
@@ -69,7 +68,7 @@ def test_orders_must_decrease():
 
 
 def test_identity_quadratic_form(family):
-    P = Observable(SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("1")),)))
+    P = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("1")),))
     for t in (2.0, 8.0, 32.0):
         val = packet_quadratic_form(family, [t], P)[0]
         assert abs(val - 1.0) < 1e-6
@@ -77,9 +76,7 @@ def test_identity_quadratic_form(family):
 
 def test_first_order_quadratic_form(family):
     # a(x, xi) = xi: integration by parts gives t^lam*xi0 for real profiles
-    P = Observable(
-        SymbolExpansion((HomogeneousTerm(1.0, parse_coeff("1"), h_minus=-1.0, h_plus=1.0),))
-    )
+    P = SymbolExpansion((HomogeneousTerm(1.0, parse_coeff("1"), h_minus=-1.0, h_plus=1.0),))
     for t in (2.0, 8.0, 32.0):
         val = packet_quadratic_form(family, [t], P)[0]
         target = t ** family.lam * family.xi0
@@ -98,7 +95,7 @@ def test_order_zero_forms_stay_bounded(family):
 def test_packet_path_matches_generic(family):
     varying = HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)"))
     constant = HomogeneousTerm(0.5, parse_coeff("2"))
-    for P in (Observable(SymbolExpansion((varying,))), SymbolExpansion((constant,))):
+    for P in (SymbolExpansion((varying,)), constant):
         for t in (2.0, 4.0, 8.0):
             p = make_packet(family, t, num_points=512)
             grid = PhysicalGrid.for_packet(family, t)
@@ -110,7 +107,7 @@ def test_packet_path_matches_generic(family):
 def test_linearity_over_terms(family):
     t1 = HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)"))
     t2 = HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)"))
-    both = packet_quadratic_form(family, [4.0], Observable(SymbolExpansion((t1, t2))))[0]
+    both = packet_quadratic_form(family, [4.0], SymbolExpansion((t1, t2)))[0]
     parts = (
         packet_quadratic_form(family, [4.0], t1)[0]
         + packet_quadratic_form(family, [4.0], t2)[0]
@@ -121,7 +118,7 @@ def test_linearity_over_terms(family):
 def test_scaled_form_converges_to_leading_value(family):
     c1 = parse_coeff("1 + 0.2*sin(x)")
     c2 = parse_coeff("0.5 + 0.2*cos(x)")
-    P = Observable(SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.0, c2))))
+    P = SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.0, c2)))
     probe = asymptotic_error_probe(P, family, [64.0])
     assert probe["errors"][0] < 0.05
 
@@ -143,33 +140,29 @@ class TestAsymptoticRates:
     """
 
     def test_single_exact_term_is_quadrature_exact(self, family):
-        P = Observable(
-            SymbolExpansion((HomogeneousTerm(1.0, parse_coeff("0.7"), h_minus=-1.0, h_plus=1.0),))
-        )
+        P = SymbolExpansion((HomogeneousTerm(1.0, parse_coeff("0.7"), h_minus=-1.0, h_plus=1.0),))
         probe = asymptotic_error_probe(P, family, [8.0, 16.0, 32.0])
         assert np.all(probe["errors"] < 1e-6)
 
     def test_remainder_dominated_slope_minus_one(self, family):
         c1, c2 = parse_coeff("1 + 0.2*sin(x)"), parse_coeff("0.5 + 0.2*cos(x)")
-        P = Observable(SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.5, c2))))
+        P = SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.5, c2)))
         probe = asymptotic_error_probe(P, family, [8.0, 16.0, 32.0, 64.0])
         assert slope_of(probe) == pytest.approx(-1.0, abs=0.2)
 
     def test_even_cancellation_gives_slope_minus_two(self, family):
         # orders (1, 0) at lam = 2: all surviving error terms decay like t^-2
         c1, c2 = parse_coeff("1 + 0.2*sin(x)"), parse_coeff("0.5 + 0.2*cos(x)")
-        P = Observable(SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.0, c2))))
+        P = SymbolExpansion((HomogeneousTerm(1.0, c1), HomogeneousTerm(0.0, c2)))
         probe = asymptotic_error_probe(P, family, [8.0, 16.0, 32.0, 64.0])
         assert slope_of(probe) == pytest.approx(-2.0, abs=0.2)
 
     def test_large_lambda_remainder_rate(self, profile):
         family = WavePacketFamily(x0=0.3, xi0=1.0, lam=3.0, profile=profile)
-        P = Observable(
-            SymbolExpansion(
-                (
-                    HomogeneousTerm(1.0, parse_coeff("0.7")),
-                    HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
-                )
+        P = SymbolExpansion(
+            (
+                HomogeneousTerm(1.0, parse_coeff("0.7")),
+                HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
             )
         )
         probe = asymptotic_error_probe(P, family, [8.0, 16.0, 32.0, 64.0])
