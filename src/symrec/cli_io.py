@@ -22,6 +22,7 @@ import math
 import sys
 import time
 import typing
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -402,7 +403,9 @@ def _cmd_recover(cfg: ExperimentConfig):
         range(len(seeds)), cfg.workers,
     )
 
+    # the same pass groups the errors by term and by (term, x0), in row order
     rows = []
+    by_term, by_point = defaultdict(list), defaultdict(list)
     for report in reports:
         for r in report.rows:
             rows.append(
@@ -411,12 +414,12 @@ def _cmd_recover(cfg: ExperimentConfig):
                     r.abs_error, float("nan"), float("nan"), r.seed,
                 )
             )
+            by_term[r.term_index].append(r.abs_error)
+            by_point[(r.term_index, r.x0)].append(r.abs_error)
 
     per_term = {}
     for j in range(1, plan.k_beta + 1):
-        errs = np.array(
-            [r.abs_error for rep in reports for r in rep.rows if r.term_index == j]
-        )
+        errs = np.array(by_term[j])
         per_term[str(j)] = {
             "mode": plan.mode(j),
             "lambda": plan.lam(j),
@@ -441,12 +444,7 @@ def _cmd_recover(cfg: ExperimentConfig):
     for j in range(1, plan.k_beta + 1):
         errs_by_x0 = []
         for x0 in cfg.x0_grid:
-            vals = [
-                r.abs_error
-                for rep in reports
-                for r in rep.rows
-                if r.term_index == j and r.x0 == x0
-            ]
+            vals = by_point[(j, x0)]
             errs_by_x0.append((x0, float(np.mean(vals)), float(np.max(vals))))
         arr = np.array(errs_by_x0)
         plots[f"recover_term{j}_error"] = (

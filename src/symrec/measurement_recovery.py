@@ -234,8 +234,13 @@ class TermDesign:
         return form, sum(per_term[j - 1 :], np.zeros_like(form))
 
     def signal(self, observable: SymbolExpansion, j: int, x0=None) -> np.ndarray:
-        """The oracle-subtracted signal of term j."""
-        return self.form_and_signal(observable, j, x0)[1]
+        """The oracle-subtracted signal of term j, integrating only terms j
+        and later (zero over the nodes past the last term).  The sum runs in
+        the order of ``form_and_signal``, so the two agree bit for bit."""
+        out = np.zeros(np.shape(x0) + self.nodes.shape, dtype=complex)
+        for term in observable.terms[j - 1 :]:
+            out += self.form(term, x0)
+        return out
 
     @cached_property
     def noise_weights(self) -> np.ndarray:
@@ -275,8 +280,12 @@ class TermDesign:
 
 class TabulatedCoeff:
     """Reconstructed coefficient: cubic interpolation through the recovered
-    values on the x0 grid, held constant beyond the grid hull (the packet
-    envelope carries negligible mass there)."""
+    values on the x0 grid, clipped to the grid hull (held at the end value
+    beyond it).  The packet envelope does reach past the hull: the y grid
+    spans tail_radius / t in x, about 3 at N = 48.  So the clipping biases
+    self-subtraction at the hull ends; with exact earlier values and no
+    noise, term 2 misses by 77 there at N = 48 (ROADMAP item 7, which
+    continues the end cubics instead)."""
 
     def __init__(self, x_grid: np.ndarray, values: np.ndarray):
         self._breaks, self._coefs = splines.not_a_knot(x_grid, values)
@@ -433,12 +442,14 @@ class RecoverySession:
         self.plotted_mode = "oracle" if subtract_mode == "both" else subtract_mode
 
         # Per term j, over the grid points i: the truths a_j(x0_i); the oracle
-        # estimates w @ signal; the weighted forms w @ (f_t|P f_t), which
-        # self-subtraction starts from; and per earlier term k the matrix
-        # cardinal_sums[(j, k)] = B @ w, whose row i holds, for each l, the
-        # weighted form at x0_i of term k recovered with the values e_l.
-        # The node-length signals are kept at x0_grid[0] alone, for the
-        # plotted trajectories.
+        # estimates w @ signal; and, unless the subtraction is oracle alone,
+        # the weighted forms w @ (f_t|P f_t), which self-subtraction starts
+        # from, and per earlier term k the matrix cardinal_sums[(j, k)] = B @ w,
+        # whose row i holds, for each l, the weighted form at x0_i of term k
+        # recovered with the values e_l.  Oracle alone never reads the forms
+        # of the earlier terms, so it does not integrate them.  The
+        # node-length signals are kept at x0_grid[0] alone, for the plotted
+        # trajectories.
         self.designs = {}
         self.truths = {}
         self.oracle_estimates = {}
@@ -449,10 +460,13 @@ class RecoverySession:
         for j in range(1, plan.k_beta + 1):
             design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
             self.designs[j] = design
-            forms, signals = design.form_and_signal(model.observable, j, self.x0_grid)
             self.truths[j] = [float(model.truth(j, x0).real) for x0 in self.x0_grid]
+            if subtract_mode == "oracle":
+                forms, signals = None, design.signal(model.observable, j, self.x0_grid)
+            else:
+                forms, signals = design.form_and_signal(model.observable, j, self.x0_grid)
+                self.weighted_forms[j] = np.array([design.estimate(v) for v in forms])
             self.oracle_estimates[j] = np.array([design.estimate(v) for v in signals])
-            self.weighted_forms[j] = np.array([design.estimate(v) for v in forms])
             self.plotted_signals[j] = (
                 signals[0] if self.plotted_mode == "oracle" else forms[0]
             )

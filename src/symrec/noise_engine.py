@@ -227,7 +227,11 @@ def build_kernel(
     weight = JapaneseBracketWeight(beta)
     col_weights = weight(xi_cols) * spacing
 
-    gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
+    # Weight the conjugated patch's entries in place: ``multiply`` would
+    # return a COO copy of the whole patch.
+    weighted = mat.conj()
+    weighted.data *= col_weights[weighted.indices]
+    gram = (weighted @ mat.T).tocsr()
     gram_r = 0.5 * (gram + gram.getH()).real
     banded = _banded(gram_r.multiply(gram_r).tocoo())
 

@@ -9,6 +9,7 @@ from symrec.measurement_recovery import average_grid
 from symrec.noise_engine import (
     JapaneseBracketWeight,
     NoiseKernel,
+    _banded,
     _lattice_index_range,
     _node_patch_matrix,
     _oracle_coefficients,
@@ -250,3 +251,22 @@ def test_one_pass_patch_matrix_equals_per_row(profile, lam, x0, n_nodes):
     np.testing.assert_array_equal(mat.indptr, ref.indptr)
     np.testing.assert_array_equal(mat.indices, ref.indices)
     np.testing.assert_array_equal(mat.data, ref.data)
+
+
+def _multiply_route_bands(family, nodes, beta):
+    """The kernel bands with the weights applied through ``multiply``, which
+    returns a COO copy of the patch; ``build_kernel`` scales in place."""
+    spacing = lattice_spacing_for(nodes)
+    mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
+    col_weights = JapaneseBracketWeight(beta)(xi_cols) * spacing
+    gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
+    gram_r = 0.5 * (gram + gram.getH()).real
+    return np.clip(_banded(gram_r.multiply(gram_r).tocoo()), 0.0, None)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+@pytest.mark.parametrize("n_nodes", [1, 640, 1500])   # single, dense, banded
+def test_in_place_weighting_matches_the_multiply_route(base_family, beta, n_nodes):
+    nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
+    kernel = build_kernel(base_family, nodes, beta)
+    assert np.array_equal(kernel.banded, _multiply_route_bands(base_family, nodes, beta))

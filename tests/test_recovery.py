@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from symrec import measurement_recovery
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import (
@@ -363,3 +364,47 @@ def test_base_point_array_matches_scalar_calls(two_term_model):
     assert rows.shape == (3, 7)
     for i, x0 in enumerate(x0s):
         assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0, chunk=3))
+
+
+@pytest.fixture()
+def integrated_terms(monkeypatch, two_term_model):
+    """(node count, term index) of each ``packet_quadratic_form`` call that
+    ``measurement_recovery`` makes with a term of the two-term model."""
+    calls = []
+    terms = two_term_model.observable.terms
+    integrate = measurement_recovery.packet_quadratic_form
+
+    def recording(family, t_nodes, P, x0=None):
+        calls.append((np.size(t_nodes), next(k for k, t in enumerate(terms, 1) if t is P)))
+        return integrate(family, t_nodes, P, x0)
+
+    monkeypatch.setattr(measurement_recovery, "packet_quadratic_form", recording)
+    return calls
+
+
+@pytest.mark.parametrize("mode, per_design", [
+    ("oracle", {1: [1, 2], 2: [2]}),          # terms j and later only
+    ("both", {1: [1, 2], 2: [1, 2]}),         # self-subtraction reads every form
+])
+def test_session_integrates_only_the_forms_it_reads(
+    two_term_model, two_term_plan, integrated_terms, mode, per_design
+):
+    session = RecoverySession(
+        two_term_model, two_term_plan, [-0.5, -0.25, 0.0, 0.25, 0.5], 8.0,
+        subtract_mode=mode, n_nodes=16, noise=False,
+    )
+    sizes = {j: design.nodes.size for j, design in session.designs.items()}
+    assert sizes[1] != sizes[2]
+    assert integrated_terms == [(sizes[j], k) for j in (1, 2) for k in per_design[j]]
+    assert (session.weighted_forms == {}) == (mode == "oracle")
+
+
+def test_design_signal_integrates_only_terms_from_j(two_term_model, integrated_terms):
+    design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, "averaged", 8.0, 16, False)
+    for j, later in ((1, [1, 2]), (2, [2]), (3, [])):
+        integrated_terms.clear()
+        signal = design.signal(two_term_model.observable, j, [0.0, 0.3])
+        assert [k for _, k in integrated_terms] == later
+    # past the last term the signal is zero over the nodes, at every base point
+    assert np.array_equal(signal, np.zeros((2, 16), dtype=complex))
+    assert np.array_equal(design.signal(two_term_model.observable, 3), np.zeros(16, dtype=complex))

@@ -4,7 +4,7 @@ from scipy.stats import linregress
 
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
-from symrec.measurement_recovery import MeasurementModel
+from symrec.measurement_recovery import MeasurementModel, TermDesign
 from symrec.stats_harness import (
     SlopeRegression,
     continuum_average_variance,
@@ -116,6 +116,16 @@ class TestVarianceScaling:
         coarse = continuum_average_variance(family, 0.0, 0.0, 16.0)
         fine = continuum_average_variance(family, 0.0, 0.0, 16.0, n_u=96, n_v=1441)
         assert coarse == pytest.approx(fine, rel=2e-3)
+
+    def test_weighted_continuum_quadrature_is_stable_under_refinement(self, profile):
+        # beta > 0 takes the branch that multiplies by the Sobolev weight; the
+        # kernel's variance of the same average weights its gram independently
+        family = WavePacketFamily(0.0, 1.0, 2.0, profile)
+        coarse = continuum_average_variance(family, 0.25, 0.0, 16.0)
+        fine = continuum_average_variance(family, 0.25, 0.0, 16.0, n_u=96, n_v=1441)
+        assert coarse == pytest.approx(fine, rel=2e-3)
+        design = TermDesign(family, 0.25, 0.0, "averaged", 16.0)
+        assert coarse == pytest.approx(design.kernel.quad_form(design.weights), rel=5e-3)
 
 
 class TestVarianceScalingRegression:
