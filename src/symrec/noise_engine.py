@@ -12,6 +12,12 @@ formed only where the path itself is the output (``sample_path``,
 u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
 ``sample_functional`` draws from the same z without forming L z.
 
+The kernel's bands are built one row tile at a time (``build_kernel``):
+a tile's gram rows need only the patch rows of the tile and of the rows
+whose lattice windows meet it, so the memory of a build scales with the
+tile and the bandwidth, not with the node count, and the bands are the
+same, bit for bit, whatever the tiling.
+
 ``basis_oracle_batch`` realizes the error directly, as a truncated
 expansion over lattice bumps with iid Gaussian coefficients, purely to
 certify that the kernel route produces the same law.  It reads the packet
@@ -34,7 +40,7 @@ from .wave_packets import WavePacketFamily, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
 _PSD_TOL = 1e-10
-_PATCH_BLOCK = 2 ** 20
+_PATCH_BLOCK = 2 ** 18  # patch entries per kernel tile; bounds a build's memory
 
 
 @dataclass(frozen=True)
@@ -55,21 +61,30 @@ def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[in
     return k_lo, k_hi
 
 
+def _node_windows(family: WavePacketFamily, ts: list[float], spacing: float):
+    """Centers and lattice index ranges [k_lo, k_hi] of the packet windows."""
+    centers = [family.center(t) for t in ts]
+    ranges = np.array([_lattice_index_range(c, t, spacing) for c, t in zip(centers, ts)])
+    return centers, ranges.reshape(-1, 2)
+
+
 def _node_patch_matrix(
-    family: WavePacketFamily, nodes: np.ndarray, spacing: float
+    family: WavePacketFamily, nodes: np.ndarray, spacing: float, lo: int = 0,
+    hi: int | None = None,
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """Sparse matrix of packet spectra on the shared lattice.
+    """Sparse matrix of packet spectra on the shared lattice, rows lo..hi-1.
 
     Row k holds the samples of
     fhat_{t_k}(xi) = t_k^(-1/2) exp(-i*xi*x0) chi_hat((xi - t_k^lam*xi0)/t_k)
-    over the lattice points of its window; columns are lattice points, and
-    the spectrum vanishes at every column outside the row's window.
-    Returns the matrix and the lattice frequencies of its columns.  All
-    entries are evaluated in one pass.
+    over the lattice points of its window; columns are the lattice points
+    that the rows' windows span, and the spectrum vanishes at every column
+    outside the row's window.  Returns the matrix and the lattice
+    frequencies of its columns.  Every entry is a function of its node and
+    lattice point alone, so a row range holds the same values as those rows
+    of the whole matrix.  All entries are evaluated in one pass.
     """
-    ts = [float(t) for t in nodes]
-    centers = [family.center(t) for t in ts]
-    ranges = np.array([_lattice_index_range(c, t, spacing) for c, t in zip(centers, ts)])
+    ts = [float(t) for t in nodes[lo:hi]]
+    centers, ranges = _node_windows(family, ts, spacing)
     k_min = int(ranges[:, 0].min())
     k_max = int(ranges[:, 1].max())
     xi_cols = (np.arange(k_min, k_max + 1) + 0.5) * spacing
@@ -83,11 +98,8 @@ def _node_patch_matrix(
     scales = np.array([t ** -0.5 for t in ts])
     centers, ts = np.array(centers), np.array(ts)
     phase = np.exp(-1j * xi_cols * family.x0)
-    data = np.empty(cols.size, dtype=complex)
-    for lo in range(0, cols.size, _PATCH_BLOCK):  # blocks bound the temporaries
-        r, c = rows[lo : lo + _PATCH_BLOCK], cols[lo : lo + _PATCH_BLOCK]
-        envelope = family.profile.chi_hat((xi_cols[c] - centers[r]) / ts[r])
-        data[lo : lo + _PATCH_BLOCK] = scales[r] * phase[c] * envelope
+    envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
+    data = scales[rows] * phase[cols] * envelope
     mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
     return mat, xi_cols
 
@@ -213,7 +225,17 @@ def build_kernel(
     beta: float,
     points_per_min_window: int = 128,
 ) -> NoiseKernel:
-    """Covariance kernel C[t,s] = |(f_t|f_s)_beta|^2 on a shared lattice."""
+    """Covariance kernel C[t,s] = |(f_t|f_s)_beta|^2 on a shared lattice.
+
+    The bands are assembled one row tile at a time.  A tile holds at most
+    ``_PATCH_BLOCK`` patch entries (one row at least); its gram rows
+    G[i, :] = sum_k conj(f_i[k]) w_k f_j[k] are the product of its weighted
+    conjugated patch rows with the patch rows of its neighbours, the rows
+    whose lattice windows meet the tile's columns.  ``csr_matmat`` sums
+    each G[i, j] over the same k in the same order whichever rows a tile
+    holds, so the bands do not depend on the tiling, and memory grows with
+    the tile and the bandwidth, not with the node count.
+    """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if nodes.size < 1:
         raise ConfigError("noise_engine: need at least one node")
@@ -223,17 +245,43 @@ def build_kernel(
         raise ConfigError("noise_engine: all nodes must satisfy t >= 1")
 
     spacing = lattice_spacing_for(nodes, points_per_min_window)
-    mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
     weight = JapaneseBracketWeight(beta)
-    col_weights = weight(xi_cols) * spacing
+    _, ranges = _node_windows(family, [float(t) for t in nodes], spacing)
+    ends = np.cumsum(ranges[:, 1] - ranges[:, 0] + 1)
+    n = nodes.size
+    # upper[d, i] = Re G[i, i + d] and lower[d, i] = Re G[i + d, i]
+    upper = np.zeros((1, n))
+    lower = np.zeros((1, n))
+    r0 = 0
+    while r0 < n:
+        start = ends[r0 - 1] if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _PATCH_BLOCK, side="right")))
+        meet = np.flatnonzero(
+            (ranges[:, 0] <= ranges[r0:r1, 1].max()) & (ranges[:, 1] >= ranges[r0:r1, 0].min())
+        )
+        n0, n1 = int(meet[0]), int(meet[-1]) + 1
+        near, xi_cols = _node_patch_matrix(family, nodes, spacing, n0, n1)
+        tile = near[r0 - n0 : r1 - n0].conj()
+        tile.data *= (weight(xi_cols) * spacing)[tile.indices]
+        gram = (tile @ near.T).tocoo()
+        i = gram.row + r0
+        j = gram.col + n0
+        width = int(np.abs(j - i).max(initial=0)) + 1
+        if width > upper.shape[0]:
+            grow = ((0, width - upper.shape[0]), (0, 0))
+            upper, lower = np.pad(upper, grow), np.pad(lower, grow)
+        up, down = j >= i, j <= i
+        upper[j[up] - i[up], i[up]] = gram.data.real[up]
+        lower[i[down] - j[down], j[down]] = gram.data.real[down]
+        r0 = r1
 
-    # Weight the conjugated patch's entries in place: ``multiply`` would
-    # return a COO copy of the whole patch.
-    weighted = mat.conj()
-    weighted.data *= col_weights[weighted.indices]
-    gram = (weighted @ mat.T).tocsr()
-    gram_r = 0.5 * (gram + gram.getH()).real
-    banded = _banded(gram_r.multiply(gram_r).tocoo())
+    banded = upper  # (0.5 * (upper + lower))**2 in place
+    banded += lower
+    del lower
+    banded *= 0.5
+    banded *= banded
+    filled = np.flatnonzero(banded.any(axis=1))
+    banded = banded[: int(filled[-1]) + 1 if filled.size else 1]
 
     diag = banded[0]
     if np.any(diag <= 0.0):
@@ -243,22 +291,6 @@ def build_kernel(
             f"noise_engine: kernel entries must be nonnegative (found {banded.min():.3e})"
         )
     return NoiseKernel(nodes=nodes, beta=float(beta), banded=np.clip(banded, 0.0, None))
-
-
-def _banded(cov: scipy.sparse.coo_matrix) -> np.ndarray:
-    """The lower banded layout of a symmetric matrix (see ``NoiseKernel``),
-    filled from the entries on and above the diagonal: cov[i, i + d] goes
-    to [d, i].
-
-    Read straight from the COO entries; ``todia`` would build the lower
-    diagonals too and warns once a kernel has more than 100 of them.
-    """
-    upper = (cov.col >= cov.row) & (cov.data != 0.0)
-    rows = cov.row[upper]
-    offs = cov.col[upper] - rows
-    out = np.zeros((int(offs.max(initial=0)) + 1, cov.shape[0]))
-    out[offs, rows] = cov.data[upper]
-    return out
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:

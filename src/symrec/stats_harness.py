@@ -33,6 +33,7 @@ from .wave_packets import WavePacketFamily
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
 BAND_Z_SLACK = 3.0        # Wilson half-widths a deviation curve may stray
 TRAJECTORY_BURN_IN = 1    # leading scales the trajectory tube does not check
+_U_SLAB = 8               # u rows per eta-sum slab of continuum_average_variance
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +134,24 @@ def continuum_average_variance(
     valid = (s_pow >= T ** lam) & (s_pow <= (2.0 * T) ** lam)
     s = np.where(valid, s_pow, T ** lam) ** (1.0 / lam)
 
-    # (u, v, eta) arrays hold 8.9 M points at the defaults: whatever depends
-    # on (u, v) alone is formed on the plane and broadcast along eta.
-    eta = prof.eta[None, None, :]
-    chi_eta = prof.chi_hat_eta[None, None, :]
-    arg = (s[:, :, None] * eta + (s_pow - u[:, None] ** lam)[:, :, None] * family.xi0) / u[
-        :, None, None
-    ]
-    integrand = chi_eta * prof.chi_hat(arg)
+    # The (u, v, eta) points number 8.9 M at the defaults: whatever depends
+    # on (u, v) alone is formed on the plane, and the eta sums run over
+    # slabs of u rows, so no (u, v, eta) array outgrows one slab.
+    shift = (s_pow - u[:, None] ** lam) * family.xi0
     if beta != 0.0:  # the weight is identically 1 at beta = 0
-        xi_abs = s[:, :, None] * eta + (s ** lam)[:, :, None] * family.xi0
-        integrand *= JapaneseBracketWeight(beta)(xi_abs)
+        weight = JapaneseBracketWeight(beta)
+        center = (s ** lam) * family.xi0
+    eta_sum = np.empty(s.shape)
+    for lo in range(0, n_u, _U_SLAB):
+        rows = slice(lo, lo + _U_SLAB)
+        s_eta = s[rows, :, None] * prof.eta
+        arg = (s_eta + shift[rows, :, None]) / u[rows, None, None]
+        integrand = prof.chi_hat_eta * prof.chi_hat(arg)
+        if beta != 0.0:
+            integrand *= weight(s_eta + center[rows, :, None])
+        eta_sum[rows] = np.sum(integrand, axis=2)
     deta = prof.eta[1] - prof.eta[0]
-    ip = np.sqrt(s / u[:, None]) * np.sum(integrand, axis=2) * deta
+    ip = np.sqrt(s / u[:, None]) * eta_sum * deta
 
     jac = T / (lam * s ** (lam - 1.0))
     f = np.where(valid, (u[:, None] * s) ** (-lam * m) * ip ** 2 * jac, 0.0)

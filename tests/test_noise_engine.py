@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -5,11 +7,11 @@ from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
 from symrec.errors import ConfigError, NumericalError
-from symrec.measurement_recovery import average_grid
+from symrec.measurement_recovery import adaptive_average_nodes, average_grid
 from symrec.noise_engine import (
     JapaneseBracketWeight,
+    _PATCH_BLOCK,
     NoiseKernel,
-    _banded,
     _lattice_index_range,
     _node_patch_matrix,
     _oracle_coefficients,
@@ -253,9 +255,21 @@ def test_one_pass_patch_matrix_equals_per_row(profile, lam, x0, n_nodes):
     np.testing.assert_array_equal(mat.data, ref.data)
 
 
+def _banded(cov: scipy.sparse.coo_matrix) -> np.ndarray:
+    """The lower banded layout of a symmetric matrix, filled from the COO
+    entries on and above the diagonal: cov[i, i + d] goes to [d, i]."""
+    upper = (cov.col >= cov.row) & (cov.data != 0.0)
+    rows = cov.row[upper]
+    offs = cov.col[upper] - rows
+    out = np.zeros((int(offs.max(initial=0)) + 1, cov.shape[0]))
+    out[offs, rows] = cov.data[upper]
+    return out
+
+
 def _multiply_route_bands(family, nodes, beta):
-    """The kernel bands with the weights applied through ``multiply``, which
-    returns a COO copy of the patch; ``build_kernel`` scales in place."""
+    """The kernel bands from one gram over the whole patch matrix, with the
+    weights applied through ``multiply``, which returns a COO copy of the
+    patch; ``build_kernel`` scales in place, one row tile at a time."""
     spacing = lattice_spacing_for(nodes)
     mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
     col_weights = JapaneseBracketWeight(beta)(xi_cols) * spacing
@@ -270,3 +284,56 @@ def test_in_place_weighting_matches_the_multiply_route(base_family, beta, n_node
     nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
     kernel = build_kernel(base_family, nodes, beta)
     assert np.array_equal(kernel.banded, _multiply_route_bands(base_family, nodes, beta))
+
+
+# The README design: term 2 averaged at N = 48 with lambda = 2.5, 9,407 nodes.
+README_LAM = 2.5
+README_NODES = average_grid(48.0, adaptive_average_nodes(48.0, README_LAM))
+
+
+def _first_tile_rows(family, nodes):
+    """Rows of ``build_kernel``'s first tile: as many as fit the entry budget."""
+    spacing = lattice_spacing_for(nodes)
+    lengths = [
+        k_hi - k_lo + 1
+        for k_lo, k_hi in (
+            _lattice_index_range(family.center(t), t, spacing) for t in nodes
+        )
+    ]
+    return int(np.searchsorted(np.cumsum(lengths), _PATCH_BLOCK, side="right"))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [lambda tile: 1, lambda tile: tile - 1, lambda tile: tile, lambda tile: tile + 1,
+     lambda tile: 4 * tile + tile // 2],
+    ids=["one", "tile-1", "tile", "tile+1", "tiles"],
+)
+@pytest.mark.parametrize("beta", [0.0, 0.25])
+@pytest.mark.parametrize("x0", [0.0, -0.5])
+@pytest.mark.parametrize("xi0", [1.0, -1.0])
+def test_tiled_bands_equal_the_one_gram_route(profile, xi0, x0, beta, rows):
+    # node sets are prefixes of one grid, so every prefix shares the first
+    # tile and the counts straddle its edge
+    family = WavePacketFamily(x0=x0, xi0=xi0, lam=README_LAM, profile=profile)
+    tile = _first_tile_rows(family, README_NODES)
+    assert 1 < tile < README_NODES.size // 5
+    nodes = README_NODES[: rows(tile)]
+    kernel = build_kernel(family, nodes, beta)
+    assert np.array_equal(kernel.banded, _multiply_route_bands(family, nodes, beta))
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_kernel_memory_follows_the_tile_not_the_node_count(profile):
+    family = WavePacketFamily(x0=-0.5, xi0=1.0, lam=README_LAM, profile=profile)
+    tiled = _traced_peak(build_kernel, family, README_NODES, 0.0)
+    one_gram = _traced_peak(_multiply_route_bands, family, README_NODES, 0.0)
+    assert tiled < one_gram / 3

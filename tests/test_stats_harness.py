@@ -127,6 +127,40 @@ class TestVarianceScaling:
         design = TermDesign(family, 0.25, 0.0, "averaged", 16.0)
         assert coarse == pytest.approx(design.kernel.quad_form(design.weights), rel=5e-3)
 
+    @pytest.mark.parametrize("T, n_u", [(8.0, 48), (64.0, 45)])  # 45: a short last slab
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_slabbed_continuum_quadrature_matches_one_slab(self, profile, beta, T, n_u):
+        family = WavePacketFamily(0.0, 1.0, 2.5, profile)
+        got = continuum_average_variance(family, beta, 0.0, T, n_u=n_u)
+        want = _one_slab_continuum_variance(family, beta, 0.0, T, n_u=n_u)
+        assert got.hex() == want.hex()
+
+
+def _one_slab_continuum_variance(family, beta, m, T, n_u=48, n_v=721):
+    """``continuum_average_variance`` with every (u, v, eta) point in one array."""
+    lam = family.lam
+    prof = family.profile
+    du = T / n_u
+    u = T + (np.arange(n_u) + 0.5) * du
+    dv = 2.0 * 4.5 / n_v
+    v = -4.5 + (np.arange(n_v) + 0.5) * dv
+    s_pow = u[:, None] ** lam + T * v[None, :]
+    valid = (s_pow >= T ** lam) & (s_pow <= (2.0 * T) ** lam)
+    s = np.where(valid, s_pow, T ** lam) ** (1.0 / lam)
+    eta = prof.eta[None, None, :]
+    arg = (s[:, :, None] * eta + (s_pow - u[:, None] ** lam)[:, :, None] * family.xi0) / u[
+        :, None, None
+    ]
+    integrand = prof.chi_hat_eta[None, None, :] * prof.chi_hat(arg)
+    if beta != 0.0:
+        xi_abs = s[:, :, None] * eta + (s ** lam)[:, :, None] * family.xi0
+        integrand *= (1.0 + xi_abs ** 2) ** beta
+    deta = prof.eta[1] - prof.eta[0]
+    ip = np.sqrt(s / u[:, None]) * np.sum(integrand, axis=2) * deta
+    jac = T / (lam * s ** (lam - 1.0))
+    f = np.where(valid, (u[:, None] * s) ** (-lam * m) * ip ** 2 * jac, 0.0)
+    return float(np.sum(f) * du * dv / T ** 2)
+
 
 class TestVarianceScalingRegression:
     def test_fit_uses_four_point_grid(self, profile):
