@@ -43,12 +43,11 @@ from .rng import child_seed, complex_normal_dot, rng_for
 from .symbols import (
     HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
 )
-from .wave_packets import PacketProfile, WavePacketFamily
+from .wave_packets import PacketProfile, WavePacketFamily, block_rows
 
 AVERAGE_RESOLUTION = 4.0
 MIN_AVERAGE_NODES = 64
 MAX_AVERAGE_NODES = 32768
-SPLINE_FORM_CHUNK = 2048          # nodes per moment pass of spline_form_sums
 
 
 @dataclass(frozen=True)
@@ -330,8 +329,9 @@ def spline_form_sums(
     thresholds = breaks[None, :] - x0s[:, None]        # (base point, break)
     edges = np.unique(thresholds)
     moments = np.zeros((4, edges.size + 1), dtype=complex)
-    for lo in range(0, nodes.size, SPLINE_FORM_CHUNK):
-        ts = nodes[lo : lo + SPLINE_FORM_CHUNK]
+    block = block_rows(profile.y.size)
+    for lo in range(0, nodes.size, block):
+        ts = nodes[lo : lo + block]
         # (node, y) layout: y is ascending, so each node's buckets come in runs
         g = (profile.y_weights[:, None] * spectral_transform(family, term, ts)).T.ravel()
         delta = np.outer(1.0 / ts, profile.y)

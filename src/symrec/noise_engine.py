@@ -36,11 +36,13 @@ import scipy.sparse
 
 from .errors import ConfigError, NumericalError
 from .rng import complex_normal_dot, rng_for, standard_complex_normal
-from .wave_packets import WavePacketFamily, lattice_spacing_for
+from .wave_packets import BLOCK_ENTRIES, WavePacketFamily, block_rows, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
 _PSD_TOL = 1e-10
-_PATCH_BLOCK = 2 ** 18  # patch entries per kernel tile; bounds a build's memory
+# Entries per basis-oracle draw batch: a batch draws all its real parts, then
+# all its imaginary parts, so this fixes which samples the stream feeds.
+_ORACLE_DRAW_BATCH = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,24 @@ def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[in
     return k_lo, k_hi
 
 
-def _node_windows(family: WavePacketFamily, ts: list[float], spacing: float):
-    """Centers and lattice index ranges [k_lo, k_hi] of the packet windows."""
-    centers = [family.center(t) for t in ts]
-    ranges = np.array([_lattice_index_range(c, t, spacing) for c, t in zip(centers, ts)])
-    return centers, ranges.reshape(-1, 2)
+def _node_windows(family: WavePacketFamily, nodes: np.ndarray, spacing: float):
+    """Centers and lattice index ranges [k_lo, k_hi] of the packet windows,
+    one row per node: the integers of ``_lattice_index_range``, computed on
+    arrays."""
+    ts = np.asarray(nodes, dtype=float)
+    centers = np.array([family.center(float(t)) for t in ts])
+    ranges = np.empty((ts.size, 2), dtype=np.int64)
+    ranges[:, 0] = np.floor((centers - ts) / spacing - 0.5)
+    ranges[:, 1] = np.ceil((centers + ts) / spacing - 0.5)
+    return centers, ranges
 
 
 def _node_patch_matrix(
-    family: WavePacketFamily, nodes: np.ndarray, spacing: float, lo: int = 0,
-    hi: int | None = None,
+    family: WavePacketFamily, nodes: np.ndarray, spacing: float, centers: np.ndarray,
+    ranges: np.ndarray,
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """Sparse matrix of packet spectra on the shared lattice, rows lo..hi-1.
+    """Sparse matrix of packet spectra on the shared lattice, one row per
+    node, given the nodes' windows (``_node_windows``).
 
     Row k holds the samples of
     fhat_{t_k}(xi) = t_k^(-1/2) exp(-i*xi*x0) chi_hat((xi - t_k^lam*xi0)/t_k)
@@ -83,20 +91,18 @@ def _node_patch_matrix(
     lattice point alone, so a row range holds the same values as those rows
     of the whole matrix.  All entries are evaluated in one pass.
     """
-    ts = [float(t) for t in nodes[lo:hi]]
-    centers, ranges = _node_windows(family, ts, spacing)
+    ts = np.asarray(nodes, dtype=float)
     k_min = int(ranges[:, 0].min())
     k_max = int(ranges[:, 1].max())
     xi_cols = (np.arange(k_min, k_max + 1) + 0.5) * spacing
 
     lengths = ranges[:, 1] - ranges[:, 0] + 1
-    indptr = np.zeros(len(ts) + 1, dtype=np.int64)
+    indptr = np.zeros(ts.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    rows = np.repeat(np.arange(len(ts), dtype=np.int32), lengths)
+    rows = np.repeat(np.arange(ts.size, dtype=np.int32), lengths)
     # entry e of row k sits in column (k_lo[k] - k_min) + (e - indptr[k])
     cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
-    scales = np.array([t ** -0.5 for t in ts])
-    centers, ts = np.array(centers), np.array(ts)
+    scales = np.array([float(t) ** -0.5 for t in ts])
     phase = np.exp(-1j * xi_cols * family.x0)
     envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
     data = scales[rows] * phase[cols] * envelope
@@ -228,7 +234,7 @@ def build_kernel(
     """Covariance kernel C[t,s] = |(f_t|f_s)_beta|^2 on a shared lattice.
 
     The bands are assembled one row tile at a time.  A tile holds at most
-    ``_PATCH_BLOCK`` patch entries (one row at least); its gram rows
+    ``BLOCK_ENTRIES`` patch entries (one row at least); its gram rows
     G[i, :] = sum_k conj(f_i[k]) w_k f_j[k] are the product of its weighted
     conjugated patch rows with the patch rows of its neighbours, the rows
     whose lattice windows meet the tile's columns.  ``csr_matmat`` sums
@@ -246,7 +252,7 @@ def build_kernel(
 
     spacing = lattice_spacing_for(nodes, points_per_min_window)
     weight = JapaneseBracketWeight(beta)
-    _, ranges = _node_windows(family, [float(t) for t in nodes], spacing)
+    centers, ranges = _node_windows(family, nodes, spacing)
     ends = np.cumsum(ranges[:, 1] - ranges[:, 0] + 1)
     n = nodes.size
     # upper[d, i] = Re G[i, i + d] and lower[d, i] = Re G[i + d, i]
@@ -255,12 +261,14 @@ def build_kernel(
     r0 = 0
     while r0 < n:
         start = ends[r0 - 1] if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _PATCH_BLOCK, side="right")))
+        r1 = max(r0 + 1, int(np.searchsorted(ends, start + BLOCK_ENTRIES, side="right")))
         meet = np.flatnonzero(
             (ranges[:, 0] <= ranges[r0:r1, 1].max()) & (ranges[:, 1] >= ranges[r0:r1, 0].min())
         )
         n0, n1 = int(meet[0]), int(meet[-1]) + 1
-        near, xi_cols = _node_patch_matrix(family, nodes, spacing, n0, n1)
+        near, xi_cols = _node_patch_matrix(
+            family, nodes[n0:n1], spacing, centers[n0:n1], ranges[n0:n1]
+        )
         tile = near[r0 - n0 : r1 - n0].conj()
         tile.data *= (weight(xi_cols) * spacing)[tile.indices]
         gram = (tile @ near.T).tocoo()
@@ -327,7 +335,8 @@ def _oracle_coefficients(
     points_per_min_window: int,
 ):
     spacing = lattice_spacing_for(nodes, points_per_min_window)
-    mat, xi_g = _node_patch_matrix(family, nodes, spacing)
+    windows = _node_windows(family, nodes, spacing)
+    mat, xi_g = _node_patch_matrix(family, nodes, spacing, *windows)
     if xi_g.size > truncation:
         raise ConfigError(
             "noise_engine: node windows escape the truncated lattice "
@@ -359,16 +368,26 @@ def basis_oracle_batch(
     Realizes E(f, g) = sum_{n,m} (f|e_n)_beta (g|e_m)_beta X_nm with one
     iid circular Gaussian matrix X per sample, shared across nodes.  Used
     only to validate that ``sample_path`` produces the same distribution.
+
+    The samples fall into draw batches of at most ``_ORACLE_DRAW_BATCH``
+    entries of X; a batch draws the real parts of all its X, then the
+    imaginary parts.  Each half streams in sample blocks of at most
+    ``BLOCK_ENTRIES`` entries, contracted with u and v as they arrive, so no
+    batch-sized array is formed.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     u, v = _oracle_coefficients(family, nodes, beta, truncation, points_per_min_window)
-    out = np.empty((n_samples, nodes.size), dtype=complex)
+    shape = (u.shape[1], v.shape[1])
+    acc = np.zeros((n_samples, nodes.size), dtype=complex)
     rng = rng_for(seed, "basis-oracle")
-    batch = max(1, min(n_samples, 10_000_000 // (u.shape[1] * v.shape[1] + 1)))
+    batch = max(1, min(n_samples, _ORACLE_DRAW_BATCH // (shape[0] * shape[1] + 1)))
+    block = block_rows(shape[0] * shape[1])
     for lo in range(0, n_samples, batch):
-        nb = min(batch, n_samples - lo)
-        x = standard_complex_normal(rng, nb * u.shape[1] * v.shape[1]).reshape(
-            nb, u.shape[1], v.shape[1]
-        )
-        out[lo : lo + nb] = np.einsum("kn,bnm,km->bk", u, x, v)
-    return out
+        hi = min(lo + batch, n_samples)
+        for part in (1.0, 1j):
+            for b0 in range(lo, hi, block):
+                b1 = min(b0 + block, hi)
+                x = rng.standard_normal((b1 - b0, *shape))
+                acc[b0:b1] += part * np.einsum("kn,bnm,km->bk", u, x, v)
+    acc /= np.sqrt(2.0)
+    return acc

@@ -28,12 +28,11 @@ from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import JapaneseBracketWeight, build_kernel, sample_path
 from .rng import child_seed
-from .wave_packets import WavePacketFamily
+from .wave_packets import WavePacketFamily, block_rows
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
 BAND_Z_SLACK = 3.0        # Wilson half-widths a deviation curve may stray
 TRAJECTORY_BURN_IN = 1    # leading scales the trajectory tube does not check
-_U_SLAB = 8               # u rows per eta-sum slab of continuum_average_variance
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +135,16 @@ def continuum_average_variance(
 
     # The (u, v, eta) points number 8.9 M at the defaults: whatever depends
     # on (u, v) alone is formed on the plane, and the eta sums run over
-    # slabs of u rows, so no (u, v, eta) array outgrows one slab.
+    # slabs of as many u rows as fit ``BLOCK_ENTRIES`` (v, eta) entries, one
+    # row at least, so no (u, v, eta) array outgrows one slab.
     shift = (s_pow - u[:, None] ** lam) * family.xi0
     if beta != 0.0:  # the weight is identically 1 at beta = 0
         weight = JapaneseBracketWeight(beta)
         center = (s ** lam) * family.xi0
     eta_sum = np.empty(s.shape)
-    for lo in range(0, n_u, _U_SLAB):
-        rows = slice(lo, lo + _U_SLAB)
+    slab = block_rows(n_v * prof.eta.size)
+    for lo in range(0, n_u, slab):
+        rows = slice(lo, lo + slab)
         s_eta = s[rows, :, None] * prof.eta
         arg = (s_eta + shift[rows, :, None]) / u[rows, None, None]
         integrand = prof.chi_hat_eta * prof.chi_hat(arg)

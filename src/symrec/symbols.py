@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .wave_packets import WavePacketFamily
+from .wave_packets import WavePacketFamily, block_rows
 
 
 def _smoothstep_quintic(u: np.ndarray) -> np.ndarray:
@@ -106,9 +106,7 @@ def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> n
     return profile.unit_kernel @ (profile.chi_hat_eta[:, None] * svals)
 
 
-def packet_quadratic_form(
-    family: WavePacketFamily, t_nodes, P, x0=None, chunk: int = 2048,
-) -> np.ndarray:
+def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.ndarray:
     """(f_t|P f_t) for a batch of packet scales, on unit-scale grids.
 
     Uses the substitution y = t*(x - x0), eta = (xi - t^lam*xi0)/t, under
@@ -122,21 +120,23 @@ def packet_quadratic_form(
     independent nested quadrature on a physical grid.
 
     S_j,t does not depend on x0, so it is computed once per term and node
-    chunk and shared by every base point.  An array ``x0`` adds a leading
-    base-point axis to the result.
+    block and shared by every base point.  A block holds as many nodes as
+    fit ``BLOCK_ENTRIES`` (y, node) entries.  An array ``x0`` adds a
+    leading base-point axis to the result.
     """
     profile = family.profile
     x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     out = np.zeros((x0s.size, t_nodes.size), dtype=complex)
+    block = block_rows(profile.y.size)
     for term in _as_terms(P):
-        for lo in range(0, t_nodes.size, chunk):
-            ts = t_nodes[lo : lo + chunk]
+        for lo in range(0, t_nodes.size, block):
+            ts = t_nodes[lo : lo + block]
             s_y = spectral_transform(family, term, ts)
             offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
             for i, base in enumerate(x0s):
                 cvals = np.asarray(term.coefficient(base + offsets))
-                out[i, lo : lo + chunk] += np.einsum(
+                out[i, lo : lo + block] += np.einsum(
                     "y,yk,yk->k", profile.y_weights, cvals, s_y
                 )
     return out if np.ndim(x0) else out[0]

@@ -26,6 +26,14 @@ _GAUSS_POINTS = 384
 _CHI_SCAN_MAX = 400.0
 _ETA_POINTS = 256
 _Y_POINTS = 512
+# Array entries per block of every blocked pass (kernel tiles, oracle draws,
+# packet quadratures, spline moments, continuum slabs); bounds their memory.
+BLOCK_ENTRIES = 2 ** 18
+
+
+def block_rows(row_entries: int) -> int:
+    """Rows of ``row_entries`` entries each that fit one block, one at least."""
+    return max(1, BLOCK_ENTRIES // row_entries)
 
 
 def _rise(u: np.ndarray, sharpness: float) -> np.ndarray:

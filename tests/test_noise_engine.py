@@ -6,14 +6,15 @@ import scipy.sparse
 from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
+from symrec import noise_engine, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import adaptive_average_nodes, average_grid
 from symrec.noise_engine import (
     JapaneseBracketWeight,
-    _PATCH_BLOCK,
     NoiseKernel,
     _lattice_index_range,
     _node_patch_matrix,
+    _node_windows,
     _oracle_coefficients,
     basis_oracle_batch,
     build_kernel,
@@ -21,8 +22,8 @@ from symrec.noise_engine import (
     sample_path,
     sample_paths,
 )
-from symrec.rng import child_seed
-from symrec.wave_packets import WavePacketFamily, lattice_spacing_for
+from symrec.rng import child_seed, rng_for, standard_complex_normal
+from symrec.wave_packets import BLOCK_ENTRIES, WavePacketFamily, lattice_spacing_for
 
 from reference_quadrature import spectrum
 
@@ -198,6 +199,42 @@ class TestBasisOracle:
                 points_per_min_window=32,
             )
 
+    @pytest.mark.parametrize(
+        "n_samples, batch_samples, block_samples",
+        [(100, None, None), (1000, 61, None), (50, 7, 3)],
+        ids=["one-batch", "many-batches", "small-batches"],
+    )
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_streamed_draws_match_one_array_per_batch(
+        self, base_family, monkeypatch, beta, n_samples, batch_samples, block_samples
+    ):
+        # the draw batches pin which entries of X each sample takes; the
+        # sample blocks inside a batch must not move them
+        u, v = _oracle_coefficients(base_family, np.array(self.NODES), beta, 128, 32)
+        entries = u.shape[1] * v.shape[1]
+        if batch_samples is not None:
+            monkeypatch.setattr(noise_engine, "_ORACLE_DRAW_BATCH", batch_samples * (entries + 1))
+        if block_samples is not None:
+            monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", block_samples * entries)
+        got = basis_oracle_batch(
+            base_family, self.NODES, beta, truncation=128, seed=child_seed(8, "oracle"),
+            n_samples=n_samples, points_per_min_window=32,
+        )
+        want = _one_array_oracle(
+            base_family, self.NODES, beta, child_seed(8, "oracle"), n_samples,
+            noise_engine._ORACLE_DRAW_BATCH,
+        )
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_oracle_memory_follows_the_block_not_the_batch(self, base_family):
+        # the noise-stats design: its 1000 samples are one draw batch of
+        # 4.9 M entries of X (70 x 70 per sample)
+        peak = _traced_peak(
+            basis_oracle_batch, base_family, self.NODES, self.BETA, 128,
+            child_seed(9, "oracle"), 1000, 32,
+        )
+        assert peak < 16 * 2 ** 20
+
     @pytest.mark.parametrize("x0", [0.0, -0.5, 0.3])
     def test_coefficients_are_the_per_node_spectra(self, profile, x0):
         # u and v come from the kernel's patch matrix; node by node they are
@@ -206,7 +243,7 @@ class TestBasisOracle:
         nodes = np.array(self.NODES)
         u, v = _oracle_coefficients(family, nodes, self.BETA, 128, 32)
         spacing = lattice_spacing_for(nodes, 32)
-        xi = _node_patch_matrix(family, nodes, spacing)[1]
+        xi = _patch_matrix(family, nodes, spacing)[1]
         w = JapaneseBracketWeight(self.BETA)
         refl = xi[::-1]
         for k, t in enumerate(nodes):
@@ -216,9 +253,29 @@ class TestBasisOracle:
             assert np.array_equal(v[k], want_v)
 
 
+def _one_array_oracle(family, nodes, beta, seed, n_samples, draw_batch):
+    """``basis_oracle_batch`` drawing each batch as one complex array and
+    contracting it whole."""
+    u, v = _oracle_coefficients(family, np.asarray(nodes, dtype=float), beta, 128, 32)
+    out = np.empty((n_samples, len(nodes)), dtype=complex)
+    rng = rng_for(seed, "basis-oracle")
+    batch = max(1, min(n_samples, draw_batch // (u.shape[1] * v.shape[1] + 1)))
+    for lo in range(0, n_samples, batch):
+        nb = min(batch, n_samples - lo)
+        x = standard_complex_normal(rng, nb * u.shape[1] * v.shape[1]).reshape(
+            nb, u.shape[1], v.shape[1]
+        )
+        out[lo : lo + nb] = np.einsum("kn,bnm,km->bk", u, x, v)
+    return out
+
+
 def test_nodes_must_increase(base_family):
     with pytest.raises(ConfigError, match="increasing"):
         build_kernel(base_family, [8.0, 4.0], 0.0)
+
+
+def _patch_matrix(family, nodes, spacing):
+    return _node_patch_matrix(family, nodes, spacing, *_node_windows(family, nodes, spacing))
 
 
 def _patch_matrix_per_row(family, nodes, spacing):
@@ -246,7 +303,7 @@ def test_one_pass_patch_matrix_equals_per_row(profile, lam, x0, n_nodes):
     family = WavePacketFamily(x0=x0, xi0=1.0, lam=lam, profile=profile)
     nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
     spacing = lattice_spacing_for(nodes)
-    mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
+    mat, xi_cols = _patch_matrix(family, nodes, spacing)
     ref, ref_xi = _patch_matrix_per_row(family, nodes, spacing)
     np.testing.assert_array_equal(xi_cols, ref_xi)
     assert mat.shape == ref.shape
@@ -271,7 +328,7 @@ def _multiply_route_bands(family, nodes, beta):
     weights applied through ``multiply``, which returns a COO copy of the
     patch; ``build_kernel`` scales in place, one row tile at a time."""
     spacing = lattice_spacing_for(nodes)
-    mat, xi_cols = _node_patch_matrix(family, nodes, spacing)
+    mat, xi_cols = _patch_matrix(family, nodes, spacing)
     col_weights = JapaneseBracketWeight(beta)(xi_cols) * spacing
     gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
     gram_r = 0.5 * (gram + gram.getH()).real
@@ -291,6 +348,19 @@ README_LAM = 2.5
 README_NODES = average_grid(48.0, adaptive_average_nodes(48.0, README_LAM))
 
 
+@pytest.mark.parametrize("lam", [2.0, 2.5, 3.1])
+@pytest.mark.parametrize("xi0", [1.0, -1.0])
+def test_node_windows_equal_the_scalar_ranges(profile, lam, xi0):
+    family = WavePacketFamily(x0=0.0, xi0=xi0, lam=lam, profile=profile)
+    spacing = lattice_spacing_for(README_NODES)
+    centers, ranges = _node_windows(family, README_NODES, spacing)
+    ts = [float(t) for t in README_NODES]
+    assert np.array_equal(centers, [family.center(t) for t in ts])
+    want = [_lattice_index_range(family.center(t), t, spacing) for t in ts]
+    assert ranges.dtype == np.int64
+    assert np.array_equal(ranges, want)
+
+
 def _first_tile_rows(family, nodes):
     """Rows of ``build_kernel``'s first tile: as many as fit the entry budget."""
     spacing = lattice_spacing_for(nodes)
@@ -300,7 +370,7 @@ def _first_tile_rows(family, nodes):
             _lattice_index_range(family.center(t), t, spacing) for t in nodes
         )
     ]
-    return int(np.searchsorted(np.cumsum(lengths), _PATCH_BLOCK, side="right"))
+    return int(np.searchsorted(np.cumsum(lengths), BLOCK_ENTRIES, side="right"))
 
 
 @pytest.mark.parametrize(

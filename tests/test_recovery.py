@@ -1,9 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from symrec import measurement_recovery
+from symrec import measurement_recovery, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import (
@@ -13,6 +14,7 @@ from symrec.measurement_recovery import (
     TabulatedCoeff,
     TermDesign,
     adaptive_average_nodes,
+    average_grid,
     plan_orders,
 )
 from symrec.noise_engine import build_kernel
@@ -355,15 +357,32 @@ def test_session_rows_carry_the_truth_at_their_base_point(self_session, two_term
         assert r.truth == two_term_model.truth(r.term_index, r.x0).real
 
 
-def test_base_point_array_matches_scalar_calls(two_term_model):
+def test_base_point_array_matches_scalar_calls(monkeypatch, two_term_model):
     family = two_term_model.family_for(2.5)
+    # blocks of 3 nodes, so 7 nodes end in a short block
+    monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", 3 * family.profile.y.size)
     nodes = np.linspace(8.0, 16.0, 7)
     x0s = np.array([-0.3, 0.0, 0.4])
     P = two_term_model.observable
-    rows = packet_quadratic_form(family, nodes, P, x0s, chunk=3)
+    rows = packet_quadratic_form(family, nodes, P, x0s)
     assert rows.shape == (3, 7)
     for i, x0 in enumerate(x0s):
-        assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0, chunk=3))
+        assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0))
+
+
+def test_quadrature_memory_follows_the_block_not_the_node_count(two_term_model):
+    # term 2 of the README design: 9,407 averaged nodes at N = 48, five base points
+    family = two_term_model.family_for(2.5)
+    nodes = average_grid(48.0, adaptive_average_nodes(48.0, 2.5))
+    term = two_term_model.observable.terms[1]
+    x0s = np.linspace(-0.5, 0.5, 5)
+    tracemalloc.start()
+    try:
+        packet_quadratic_form(family, nodes, term, x0s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.fixture()
