@@ -372,8 +372,8 @@ def basis_oracle_batch(
     The samples fall into draw batches of at most ``_ORACLE_DRAW_BATCH``
     entries of X; a batch draws the real parts of all its X, then the
     imaginary parts.  Each half streams in sample blocks of at most
-    ``BLOCK_ENTRIES`` entries, contracted with u and v as they arrive, so no
-    batch-sized array is formed.
+    ``BLOCK_ENTRIES`` entries, contracted as they arrive with v by one
+    matrix product and then with u, so no batch-sized array is formed.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     u, v = _oracle_coefficients(family, nodes, beta, truncation, points_per_min_window)
@@ -388,6 +388,6 @@ def basis_oracle_batch(
             for b0 in range(lo, hi, block):
                 b1 = min(b0 + block, hi)
                 x = rng.standard_normal((b1 - b0, *shape))
-                acc[b0:b1] += part * np.einsum("kn,bnm,km->bk", u, x, v)
+                acc[b0:b1] += part * np.einsum("kn,bnk->bk", u, x @ v.T)
     acc /= np.sqrt(2.0)
     return acc

@@ -40,6 +40,18 @@ symbol_2_coeff = 0.5 + 0.2*cos(x)
 """
 
 
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a new interpreter that imports this package; return its
+    stripped stdout."""
+    env = dict(os.environ)
+    src = str(Path(symrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
 def _assert_one_line_failure(tmp_path, capsys, command, line, code) -> str:
     """Run ``command`` on the two-term config plus ``line``; it must exit with
     ``code``, say why in one short stderr line and write no rows."""
@@ -292,13 +304,22 @@ class TestCommands:
             "print([m for m in ('scipy.stats', 'scipy.interpolate', 'scipy.integrate') "
             "if m in sys.modules])"
         )
-        env = dict(os.environ)
-        src = str(Path(symrec.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        assert _fresh_python(code) == "[]"
+
+    def test_noise_stats_leaves_scipy_stats_unloaded(self, tmp_path):
+        # its KS p-value is computed in house, so no command pays the import
+        # (about 36 MB that would stay resident for the commands after it)
+        text = (
+            "beta = 0.25\nscale = 4\ntrials = 1000\nseed = 5\n"
+            "symbol_count = 1\nsymbol_1_order = 1.0\nsymbol_1_coeff = 1\n"
         )
-        assert done.stdout.strip() == "[]"
+        code = (
+            "import sys; from symrec.cli_io import parse_config, run_command; "
+            f"code = run_command('noise-stats', parse_config({text!r}), {str(tmp_path)!r}, "
+            "quiet=True); "
+            "print(code, 'scipy.stats' in sys.modules)"
+        )
+        assert _fresh_python(code) == "0 False"
 
     def test_workers_flag_below_one_exit_2(self, cfg_path, capsys):
         # the flags get the config's own domain checks

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.stats import linregress
+from scipy.stats import ks_2samp, linregress
 
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
@@ -8,6 +8,7 @@ from symrec.measurement_recovery import MeasurementModel, TermDesign
 from symrec.stats_harness import (
     SlopeRegression,
     continuum_average_variance,
+    ks_2samp_pvalue,
     nonconvergence_experiment,
     rate_certificate_experiment,
     trajectory_as_convergence_check,
@@ -62,6 +63,39 @@ class TestUtilities:
     def test_slope_regression_needs_four_points(self):
         with pytest.raises(ConfigError, match=">= 4"):
             SlopeRegression.fit([1, 2, 3], [1, 2, 3])
+
+    def test_ks_pvalue_equals_ks_2samp(self):
+        # scipy's default is the exact method up to 10,000 samples per side
+        rng = np.random.default_rng(20261019)
+        pairs = []
+        for i in range(120):
+            a = rng.standard_normal(1000)
+            b = rng.standard_normal(1000)
+            if i % 2:   # a slightly different law
+                b = (1.0 + 0.02 * (i % 5)) * b + 0.01 * (i % 7)
+            pairs.append((a, b))
+        for i in range(20):   # ties within and across the samples
+            pairs.append((np.round(rng.standard_normal(1000), 1),
+                          np.round(1.05 * rng.standard_normal(1000), 1)))
+        pvalues = [(ks_2samp_pvalue(a, b), ks_2samp(a, b).pvalue) for a, b in pairs]
+        assert [p for p, ref in pvalues if p != ref] == []
+        assert min(p for p, _ in pvalues) < 0.05 < max(p for p, _ in pvalues)
+
+    def test_ks_pvalue_of_identical_samples_is_one(self, rng):
+        a = rng.standard_normal(1000)
+        assert ks_2samp_pvalue(a, a.copy()) == 1.0 == ks_2samp(a, a).pvalue
+        tied = np.round(a, 1)
+        assert ks_2samp_pvalue(tied, tied[::-1]) == 1.0 == ks_2samp(tied, tied[::-1]).pvalue
+
+    def test_ks_pvalue_stays_exact_above_scipys_auto_switch(self, rng):
+        a = rng.standard_normal(12000)
+        b = rng.standard_normal(12000)
+        assert ks_2samp_pvalue(a, b) == ks_2samp(a, b, method="exact").pvalue
+
+    @pytest.mark.parametrize("n1, n2", [(1000, 999), (0, 0), (3, 0)])
+    def test_ks_pvalue_needs_equal_nonempty_samples(self, n1, n2):
+        with pytest.raises(ConfigError, match="equal size"):
+            ks_2samp_pvalue(np.arange(n1, dtype=float), np.arange(n2, dtype=float))
 
     def test_wilson_interval_stays_in_unit_range(self):
         for s, n in [(0, 50), (50, 50), (25, 50), (1, 1000)]:
