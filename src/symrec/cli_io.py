@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericalError
 from .expressions import ExpressionError, parse_coeff
 from .measurement_recovery import MeasurementModel, RecoverySession, plan_orders
 from .noise_engine import basis_oracle_batch, build_kernel, sample_paths
-from .parallel import parallel_map
+from .parallel import USABLE_CORES, parallel_map, worker_limit
 from .rng import child_seed
 from .stats_harness import (
     SlopeRegression,
@@ -76,7 +76,7 @@ class ExperimentConfig:
     trials: int = 1000
     seed: int = 0
     out: str = "results"
-    workers: int = 1
+    workers: int = USABLE_CORES         # caps the draw threads; results do not depend on it
     term: int = 1
     mode: str = "plain"
     threshold: float = 0.5
@@ -396,12 +396,13 @@ def _cmd_recover(cfg: ExperimentConfig):
         n_nodes=cfg.average_nodes or None,
         noise=cfg.noise,
     )
-    seeds = [child_seed(cfg.seed, trial, "recover-trial") for trial in range(cfg.trials)]
     # Only the first trial's trajectories are plotted; the others would hold
     # every node's contribution for every row.
     reports = parallel_map(
-        lambda trial: session.run_seed(seeds[trial], trajectories=trial == 0),
-        range(len(seeds)), cfg.workers,
+        lambda trial: session.run_seed(
+            child_seed(cfg.seed, trial, "recover-trial"), trajectories=trial == 0
+        ),
+        range(cfg.trials),
     )
 
     # the same pass groups the errors by term and by (term, x0), in row order
@@ -737,9 +738,10 @@ def run_command(
             raise ConfigError(f"cli_io: unknown command {name!r}")
         digest = config_digest(cfg)
         experiment_id = f"{name}-{digest[:12]}-{cfg.seed}"
-        # Overflow and 0/0 raise here and exit 3.  numpy's error state is a
-        # context variable, so it does not reach parallel_map's pool threads.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # Overflow and 0/0 raise here and exit 3.
+        with worker_limit(cfg.workers), np.errstate(
+            over="raise", divide="raise", invalid="raise"
+        ):
             rows, summary, plots = _DISPATCH[name](cfg)
         _require_finite(rows, summary)
 
@@ -789,7 +791,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, help="override the master seed")
     parser.add_argument("--out", help="override the output directory")
     parser.add_argument("--trials", type=int, help="override the trial count")
-    parser.add_argument("--workers", type=int, help="override the worker count")
+    parser.add_argument(
+        "--workers", type=int, help="cap the threads that draw the noise (default: usable cores)"
+    )
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 

@@ -39,6 +39,7 @@ import numpy as np
 from . import splines
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_functional, sample_path
+from .parallel import parallel_map
 from .rng import child_seed, complex_normal_dot, rng_for
 from .symbols import (
     HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
@@ -264,12 +265,13 @@ class TermDesign:
         return complex(np.sum(self.weights * values))
 
     def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
-        """u @ z for each trial, z keyed by (master_seed, trial, *key)."""
+        """u @ z for each trial, z keyed by (master_seed, trial, *key), the
+        trials drawn on worker threads once u is formed."""
         u = self.noise_weights
-        return np.array([
-            complex_normal_dot(rng_for(master_seed, trial, *key), u)
-            for trial in range(trials)
-        ], dtype=complex)
+        return np.array(parallel_map(
+            lambda trial: complex_normal_dot(rng_for(master_seed, trial, *key), u),
+            range(trials),
+        ), dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +479,11 @@ class RecoverySession:
                 self.cardinal_sums[(j, k)] = spline_form_sums(
                     design.family, design.nodes, design.weights, term, self.x0_grid
                 )
+        # The trials run on worker threads, so u = L^T w, and with it the
+        # factor, is formed here: no trial fills a lazy cache.
+        for design in self.designs.values():
+            if design.kernel is not None:
+                design.noise_weights
 
     def recovered_term(self, k: int, values: np.ndarray) -> HomogeneousTerm:
         """Term k with the coefficient interpolated through ``values`` on the

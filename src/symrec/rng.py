@@ -46,7 +46,12 @@ def standard_complex_normal(rng: np.random.Generator, size: int) -> np.ndarray:
 def complex_normal_dot(rng: np.random.Generator, u: np.ndarray) -> complex:
     """u @ standard_complex_normal(rng, u.size) for a real vector u.
 
-    Same draws, contracted part by part, so the complex array is never built.
+    Same draws, so the complex array is never built.  Both parts are
+    contracted by one ``(2, n) @ u`` product.  OpenBLAS threads a vector
+    dot product above 10,000 entries, so worker threads that each call one
+    contend for its threads, and its sum depends on the BLAS thread count.
+    This product's sum did not, on the OpenBLAS that numpy bundles
+    (``test_functionals_do_not_depend_on_the_blas_thread_count``).
     """
-    parts = rng.standard_normal((2, u.size))
-    return complex(parts[0] @ u + 1j * (parts[1] @ u)) / np.sqrt(2.0)
+    re, im = rng.standard_normal((2, u.size)) @ u
+    return complex(re, im) / np.sqrt(2.0)

@@ -344,19 +344,33 @@ class TestCommands:
         assert "cap" in capsys.readouterr().err
 
     def test_byte_identical_reruns_and_worker_counts(self, cfg_path, tmp_path):
+        # recover, and a certify command, at one worker and at the default
+        # (one per usable core)
+        certify = tmp_path / "nc.cfg"
+        certify.write_text(
+            "beta = 0.0\nmode = averaged\nthreshold = 0.5\nlambda_1 = 2.0\n"
+            "grid = 4, 5.6569, 8, 11.3137\ntrials = 400\nseed = 9\n"
+            "symbol_count = 1\nsymbol_1_order = -0.5\nsymbol_1_coeff = 0.3\n"
+        )
+        runs = [
+            ("recover", cfg_path, ["--workers", "1"]),
+            ("recover", cfg_path, ["--workers", "1"]),
+            ("recover", cfg_path, ["--workers", "4"]),
+            ("recover", cfg_path, []),
+            ("nonconvergence", certify, ["--workers", "1"]),
+            ("nonconvergence", certify, []),
+        ]
         outs = []
-        for name, workers in [("a", 1), ("b", 1), ("c", 4)]:
-            out = tmp_path / name
+        for i, (command, path, workers) in enumerate(runs):
+            out = tmp_path / str(i)
             code = main(
-                [
-                    "recover", "--config", str(cfg_path), "--out", str(out),
-                    "--workers", str(workers), "--quiet",
-                ]
+                [command, "--config", str(path), "--out", str(out), "--quiet", *workers]
             )
             assert code == 0
-            files = [out / "recover_rows.csv", *sorted((out / "plots").iterdir())]
+            files = [out / f"{command}_rows.csv", *sorted((out / "plots").iterdir())]
             outs.append([(f.name, f.read_bytes()) for f in files])
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert outs[4] == outs[5]
 
     def test_seed_override_changes_rows(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import scipy.sparse
 from scipy.integrate import simpson
 from scipy.stats import ks_2samp
 
+import symrec
 from symrec import noise_engine, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import adaptive_average_nodes, average_grid
@@ -22,7 +27,8 @@ from symrec.noise_engine import (
     sample_path,
     sample_paths,
 )
-from symrec.rng import child_seed, rng_for, standard_complex_normal
+from symrec.parallel import parallel_map, worker_limit
+from symrec.rng import child_seed, complex_normal_dot, rng_for, standard_complex_normal
 from symrec.wave_packets import BLOCK_ENTRIES, WavePacketFamily, lattice_spacing_for
 
 from reference_quadrature import spectrum
@@ -78,6 +84,51 @@ def test_same_seed_same_path(base_family):
     p1 = sample_path(kernel, 987654321)
     p2 = sample_path(kernel, 987654321)
     assert np.array_equal(p1, p2)
+
+
+def test_pooled_functionals_equal_serial_above_blas_threading_size(rng):
+    # 12,000 entries: above the size at which OpenBLAS threads a dot product
+    u = rng.standard_normal(12_000)
+
+    def draw(trial):
+        return complex_normal_dot(rng_for(11, trial, "dot"), u)
+
+    serial = [draw(trial) for trial in range(40)]
+    with worker_limit(2):
+        pooled = parallel_map(draw, range(40))
+    assert np.array_equal(pooled, serial)
+    want = u @ standard_complex_normal(rng_for(11, 0, "dot"), u.size)
+    assert abs(serial[0] - want) <= 1e-12 * abs(want)
+
+
+def test_functionals_do_not_depend_on_the_blas_thread_count():
+    # the same draws in two new interpreters, one with OpenBLAS on one
+    # thread and one at its default (one per core); on a one-core host both
+    # runs are serial
+    code = (
+        "import numpy as np\n"
+        "from symrec.rng import complex_normal_dot, rng_for\n"
+        "for n in (12_000, 14_482):\n"
+        "    u = rng_for(5, n, 'u').standard_normal(n)\n"
+        "    for trial in range(20):\n"
+        "        z = complex_normal_dot(rng_for(5, trial, 'dot'), u)\n"
+        "        print(z.real.hex(), z.imag.hex())\n"
+    )
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    src = str(Path(symrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    runs = [
+        subprocess.run(
+            [sys.executable, "-c", code], env={**env, **extra},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+    ]
+    assert runs[0].count("\n") == 40
+    assert runs[0] == runs[1]
 
 
 def test_isometry_and_circular_symmetry(base_family):

@@ -18,6 +18,7 @@ from symrec.measurement_recovery import (
     plan_orders,
 )
 from symrec.noise_engine import build_kernel
+from symrec.parallel import worker_limit
 from symrec.rng import child_seed, rng_for, standard_complex_normal
 from symrec.stats_harness import _estimator_samples, trajectory_as_convergence_check
 from symrec.symbols import (
@@ -255,6 +256,24 @@ def test_noise_batch_is_the_weighted_path_batch(two_term_model, two_term_plan, j
     )
     want = design.kernel.apply_factor(z) @ design.weights
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_noise_batch_does_not_depend_on_the_worker_limit(two_term_model, two_term_plan):
+    design = TermDesign.for_term(two_term_model, two_term_plan, 2, 8.0)
+    with worker_limit(1):
+        serial = design.noise_batch(50, 17, "key")
+    with worker_limit(2):
+        pooled = design.noise_batch(50, 17, "key")
+    assert np.array_equal(pooled, serial)
+
+
+def test_session_factors_every_noisy_design_before_any_trial(two_term_model, two_term_plan):
+    # the trials run on worker threads, so none of them may fill a lazy cache
+    session = RecoverySession(two_term_model, two_term_plan, [0.0], 8.0)
+    for design in session.designs.values():
+        assert design.kernel._factor is not None
+        want = design.kernel.apply_factor_transpose(design.weights)
+        assert np.array_equal(design.noise_weights, want)
 
 
 def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_plan):
