@@ -34,7 +34,7 @@ from .expressions import ExpressionError, parse_coeff
 from .measurement_recovery import MeasurementModel, RecoverySession, plan_orders
 from .noise_engine import basis_oracle_batch, build_kernel, sample_paths
 from .parallel import USABLE_CORES, parallel_map, worker_limit
-from .rng import child_seed
+from .rng import child_seed, child_seeds
 from .stats_harness import (
     SlopeRegression,
     ks_2samp_pvalue,
@@ -472,14 +472,14 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
     t0 = cfg.scale
 
     kernel1 = build_kernel(family, [t0], cfg.beta)
-    seeds = [child_seed(cfg.seed, trial, "iso") for trial in range(trials)]
+    seeds = child_seeds(cfg.seed, np.arange(trials), "iso")
     vals = sample_paths(kernel1, seeds)[:, 0]
     ratio = float(np.mean(np.abs(vals) ** 2) / kernel1.diagonal[0])
     ratio_stderr = float(np.std(np.abs(vals) ** 2) / kernel1.diagonal[0] / np.sqrt(trials))
 
     pair = np.array([t0, 1.01 * t0])
     kernel2 = build_kernel(family, pair, cfg.beta)
-    seeds = [child_seed(cfg.seed, trial, "pseudo") for trial in range(trials)]
+    seeds = child_seeds(cfg.seed, np.arange(trials), "pseudo")
     paths = sample_paths(kernel2, seeds)
     pseudo = complex(np.mean(paths[:, 0] * paths[:, 1]))
     pseudo_stderr = float(
@@ -497,7 +497,7 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
     emp_cov = (oracle.conj().T @ oracle / trials).real
     dense3 = kernel3.dense()
     rel_dev = np.abs(emp_cov - dense3) / dense3
-    seeds = [child_seed(cfg.seed, trial, "ks") for trial in range(trials)]
+    seeds = child_seeds(cfg.seed, np.arange(trials), "ks")
     kernel_draws = sample_paths(kernel3, seeds)
     ks_pvalue = ks_2samp_pvalue(np.abs(oracle[:, 0]), np.abs(kernel_draws[:, 0]))
 

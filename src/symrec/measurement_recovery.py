@@ -39,8 +39,8 @@ import numpy as np
 from . import splines
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_functional, sample_path
-from .parallel import parallel_map
-from .rng import child_seed, complex_normal_dot, rng_for
+from .parallel import USABLE_CORES, parallel_map
+from .rng import child_seed, complex_normal_dot, keyed_streams, stream_keys
 from .symbols import (
     HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
 )
@@ -265,13 +265,18 @@ class TermDesign:
         return complex(np.sum(self.weights * values))
 
     def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
-        """u @ z for each trial, z keyed by (master_seed, trial, *key), the
-        trials drawn on worker threads once u is formed."""
+        """u @ z for each trial, z keyed by (master_seed, trial, *key): the
+        draws of ``rng_for(master_seed, trial, *key)``, with every key
+        derived in one call.  Once u is formed, the trials are drawn in one
+        contiguous chunk per usable core, on worker threads, each chunk on
+        one generator switched from key to key."""
         u = self.noise_weights
-        return np.array(parallel_map(
-            lambda trial: complex_normal_dot(rng_for(master_seed, trial, *key), u),
-            range(trials),
-        ), dtype=complex)
+        keys = stream_keys(master_seed, np.arange(trials), *key)
+        chunks = parallel_map(
+            lambda chunk: [complex_normal_dot(rng, u) for rng in keyed_streams(chunk)],
+            np.array_split(keys, USABLE_CORES),
+        )
+        return np.array([draw for chunk in chunks for draw in chunk], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

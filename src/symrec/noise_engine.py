@@ -35,7 +35,9 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigError, NumericalError
-from .rng import complex_normal_dot, rng_for, standard_complex_normal
+from .rng import (
+    complex_normal_dot, keyed_streams, rng_for, standard_complex_normal, stream_keys,
+)
 from .wave_packets import BLOCK_ENTRIES, WavePacketFamily, block_rows, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
@@ -90,6 +92,11 @@ def _node_patch_matrix(
     frequencies of its columns.  Every entry is a function of its node and
     lattice point alone, so a row range holds the same values as those rows
     of the whole matrix.  All entries are evaluated in one pass.
+
+    At x0 = 0 the phase is exactly 1 + 0j, so it is left out and the matrix
+    is real: its real parts are the complex matrix's bit for bit, and so are
+    the real parts of its products and grams, whose imaginary parts are
+    sums of signed zeros.
     """
     ts = np.asarray(nodes, dtype=float)
     k_min = int(ranges[:, 0].min())
@@ -103,9 +110,11 @@ def _node_patch_matrix(
     # entry e of row k sits in column (k_lo[k] - k_min) + (e - indptr[k])
     cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
     scales = np.array([float(t) ** -0.5 for t in ts])
-    phase = np.exp(-1j * xi_cols * family.x0)
     envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
-    data = scales[rows] * phase[cols] * envelope
+    if family.x0 == 0.0:
+        data = scales[rows] * envelope
+    else:
+        data = scales[rows] * np.exp(-1j * xi_cols * family.x0)[cols] * envelope
     mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
     return mat, xi_cols
 
@@ -317,10 +326,11 @@ def sample_functional(u: np.ndarray, seed: int) -> complex:
 
 
 def sample_paths(kernel: NoiseKernel, seeds) -> np.ndarray:
-    """Batch of joint draws, one row per seed."""
-    z = np.empty((len(seeds), kernel.size), dtype=complex)
-    for i, seed in enumerate(seeds):
-        rng = rng_for(int(seed), "noise-path")
+    """Batch of joint draws, one row per seed: row i is ``sample_path(kernel,
+    seeds[i])``, its stream key derived with all the others in one call."""
+    keys = stream_keys(seeds, "noise-path")
+    z = np.empty((len(keys), kernel.size), dtype=complex)
+    for i, rng in enumerate(keyed_streams(keys)):
         z[i] = standard_complex_normal(rng, kernel.size)
     return kernel.apply_factor(z)
 
@@ -343,7 +353,8 @@ def _oracle_coefficients(
             f"({xi_g.size} > {truncation} frequencies)"
         )
     weight = JapaneseBracketWeight(beta)
-    spectra = mat.toarray()
+    # complex at x0 = 0 too: the products below then round as they always have
+    spectra = mat.toarray().astype(complex, copy=False)
 
     # Basis: lattice bumps e_n with hat(e_n)(xi_k) = delta_nk / sqrt(w_n dxi).
     # (f|e_n)_beta = conj(fhat(xi_n)) sqrt(w_n dxi); the first slot carries

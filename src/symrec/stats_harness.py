@@ -27,6 +27,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import JapaneseBracketWeight, build_kernel, sample_path
+from .parallel import pipelined
 from .rng import child_seed
 from .wave_packets import WavePacketFamily, block_rows
 
@@ -108,6 +109,13 @@ def ks_2samp_pvalue(data1, data2) -> float:
             a = (n - k * h - j) * a / (n + k * h + j + 1)
         p = a * (1.0 - p)
     return min(max(2.0 * p, 0.0), 1.0)
+
+
+def _form_noise_weights(design: TermDesign) -> None:
+    """Form the design's factor and u = L^T w on the calling thread, after
+    its quadratures (a dense factor alive through them raises peak RSS), so
+    a pipelined draw only reads them."""
+    design.noise_weights  # a cached property: reading it forms it
 
 
 def complex_variance(values: np.ndarray) -> float:
@@ -215,16 +223,23 @@ def variance_scaling_experiment(
             "stats_harness: averaged target needs T > 2^(1/(lambda-1))"
         )
 
-    empirical = np.empty(grid.size)
     kernel_var = np.empty(grid.size)
     continuum = np.empty(grid.size) if target == "averaged" else None
     key = "plain-variance" if target == "plain" else "avg-variance"
-    for gi, g in enumerate(grid):
-        design = TermDesign(family_template, beta, m, target, g)
+
+    def prepare(gi):
+        design = TermDesign(family_template, beta, m, target, grid[gi])
         kernel_var[gi] = design.kernel.quad_form(design.weights)
         if continuum is not None:
-            continuum[gi] = continuum_average_variance(family_template, beta, m, g)
-        empirical[gi] = complex_variance(design.noise_batch(trials, master_seed, key, gi))
+            continuum[gi] = continuum_average_variance(family_template, beta, m, grid[gi])
+        _form_noise_weights(design)
+        return gi, design
+
+    def draw(prepared):
+        gi, design = prepared
+        return complex_variance(design.noise_batch(trials, master_seed, key, gi))
+
+    empirical = np.array(pipelined(prepare, draw, range(grid.size)))
     if target == "plain":
         expected = -2.0 * lam * (m - 2.0 * beta)
     else:
@@ -301,22 +316,25 @@ def nonconvergence_experiment(
     family = model.family_for(lam)
     truth = model.truth(j).real
 
-    p_hat = np.empty(grid.size)
-    half = np.empty(grid.size)
     sigma_sq = np.empty(grid.size)
     det = np.empty(grid.size)
-    for gi, g in enumerate(grid):
-        design = TermDesign(family, model.beta, m_j, mode, g)
+
+    def prepare(gi):
+        design = TermDesign(family, model.beta, m_j, mode, grid[gi])
         base = design.estimate(design.signal(model.observable, j))
         det[gi] = abs(base - truth)
         sigma_sq[gi] = design.kernel.quad_form(design.weights)
+        _form_noise_weights(design)
+        return gi, design, base
+
+    def draw(prepared):
+        gi, design, base = prepared
         noise = design.noise_batch(trials, master_seed, "nonconv", gi)
         deviations = np.abs(base - truth + noise)
         successes = int(np.count_nonzero(deviations > threshold))
-        center, hw = wilson_interval(successes, trials)
-        p_hat[gi] = center
-        half[gi] = hw
+        return wilson_interval(successes, trials)
 
+    p_hat, half = np.array(pipelined(prepare, draw, range(grid.size))).T
     p_closed = np.exp(-(threshold ** 2) / sigma_sq)
     return DeviationCurve(grid, threshold, p_hat, half, sigma_sq, p_closed, det)
 
@@ -351,20 +369,23 @@ class RateSurface:
         raise KeyError((eps, delta))
 
 
-def _estimator_samples(
-    model: MeasurementModel,
-    plan: OrderPlan,
-    j: int,
-    N: float,
-    trials: int,
-    master_seed: int,
-    purpose: str,
-    noise: bool = True,
-) -> np.ndarray:
-    """Trials of the term-j estimator at scale N (oracle subtraction)."""
+def _estimator_design(
+    model: MeasurementModel, plan: OrderPlan, j: int, N: float, noise: bool = True,
+) -> tuple[TermDesign, complex]:
+    """The term-j design at scale N, factored when it is noisy, and its
+    noise-free estimate (oracle subtraction)."""
     design = TermDesign.for_term(model, plan, j, N, noise=noise)
     base = design.estimate(design.signal(model.observable, j))
-    if not noise:
+    if noise:
+        _form_noise_weights(design)
+    return design, base
+
+
+def _estimator_samples(
+    design: TermDesign, base: complex, trials: int, master_seed: int, purpose: str,
+) -> np.ndarray:
+    """Trials of an estimator: its noise-free estimate plus each trial's noise."""
+    if design.kernel is None:
         return np.full(trials, base, dtype=complex)
     return base + design.noise_batch(trials, master_seed, purpose)
 
@@ -400,12 +421,15 @@ def rate_certificate_experiment(
         )
 
     truth = model.truth(j).real
-    errors = np.empty((n_grid.size, trials))
-    for ni, N in enumerate(n_grid):
-        samples = _estimator_samples(
-            model, plan, j, N, trials, master_seed, f"rate-{ni}", noise=noise
-        )
-        errors[ni] = np.abs(samples - truth)
+
+    def prepare(ni):
+        return ni, *_estimator_design(model, plan, j, n_grid[ni], noise)
+
+    def draw(prepared):
+        ni, design, base = prepared
+        return np.abs(_estimator_samples(design, base, trials, master_seed, f"rate-{ni}") - truth)
+
+    errors = np.array(pipelined(prepare, draw, range(n_grid.size)))
 
     certificates = []
     n0_values = {}

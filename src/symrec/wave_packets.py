@@ -36,22 +36,20 @@ def block_rows(row_entries: int) -> int:
     return max(1, BLOCK_ENTRIES // row_entries)
 
 
-def _rise(u: np.ndarray, sharpness: float) -> np.ndarray:
-    """C-infinity ramp: 0 for u <= 0, 1 for u >= 1."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        a = np.where(u > 0.0, np.exp(-sharpness / np.maximum(u, 1e-300)), 0.0)
-        b = np.where(u < 1.0, np.exp(-sharpness / np.maximum(1.0 - u, 1e-300)), 0.0)
-    return a / (a + b)
-
-
 def bridge_sigma(r: np.ndarray, sharpness: float = 1.0) -> np.ndarray:
-    """Radial cutoff shape: 1 on [0, 1/2], 0 on [1, inf), smooth between."""
+    """Radial cutoff shape: 1 on [0, 1/2], 0 on [1, inf), smooth between.
+
+    Between, a C-infinity ramp in u = 2 (1 - r): a / (a + b) with
+    a = exp(-s/u) and b = exp(-s/(1 - u)).  There 0 < u < 1 exactly, since
+    1 - r and 1 - u are exact (Sterbenz), so neither exponent divides by 0.
+    """
     r = np.abs(np.asarray(r, dtype=float))
     out = np.zeros_like(r)
     out[r <= 0.5] = 1.0
     mid = (r > 0.5) & (r < 1.0)
-    out[mid] = _rise((1.0 - r[mid]) / 0.5, sharpness)
+    u = (1.0 - r[mid]) / 0.5
+    a = np.exp(-sharpness / u)
+    out[mid] = a / (a + np.exp(-sharpness / (1.0 - u)))
     return out
 
 

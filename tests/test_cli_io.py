@@ -352,6 +352,16 @@ class TestCommands:
             "grid = 4, 5.6569, 8, 11.3137\ntrials = 400\nseed = 9\n"
             "symbol_count = 1\nsymbol_1_order = -0.5\nsymbol_1_coeff = 0.3\n"
         )
+        variance = tmp_path / "vs.cfg"
+        variance.write_text(
+            "beta = 0.0\nmode = averaged\ngrid = 4, 8, 16, 32\ntrials = 1000\n"
+            "seed = 9\nsymbol_count = 1\nsymbol_1_order = 0.0\nsymbol_1_coeff = 1\n"
+        )
+        rate = tmp_path / "rate.cfg"
+        rate.write_text(
+            TWO_TERM_CFG + "grid = 4, 5.6569, 8, 11.3137, 16\nrate_eps = 0.2, 0.4\n"
+            "rate_delta = 0.1, 0.2\ntrials = 200\nterm = 2\n"
+        )
         runs = [
             ("recover", cfg_path, ["--workers", "1"]),
             ("recover", cfg_path, ["--workers", "1"]),
@@ -359,6 +369,10 @@ class TestCommands:
             ("recover", cfg_path, []),
             ("nonconvergence", certify, ["--workers", "1"]),
             ("nonconvergence", certify, []),
+            ("variance-scaling", variance, ["--workers", "1"]),
+            ("variance-scaling", variance, []),
+            ("rate", rate, ["--workers", "1"]),
+            ("rate", rate, []),
         ]
         outs = []
         for i, (command, path, workers) in enumerate(runs):
@@ -367,10 +381,16 @@ class TestCommands:
                 [command, "--config", str(path), "--out", str(out), "--quiet", *workers]
             )
             assert code == 0
-            files = [out / f"{command}_rows.csv", *sorted((out / "plots").iterdir())]
+            slug = command.replace("-", "_")
+            files = [
+                out / f"{slug}_rows.csv", out / f"{slug}_summary.json",
+                *sorted((out / "plots").glob("*")),
+            ]
             outs.append([(f.name, f.read_bytes()) for f in files])
         assert outs[0] == outs[1] == outs[2] == outs[3]
         assert outs[4] == outs[5]
+        assert outs[6] == outs[7]
+        assert outs[8] == outs[9]
 
     def test_seed_override_changes_rows(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

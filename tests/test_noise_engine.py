@@ -28,7 +28,9 @@ from symrec.noise_engine import (
     sample_paths,
 )
 from symrec.parallel import parallel_map, worker_limit
-from symrec.rng import child_seed, complex_normal_dot, rng_for, standard_complex_normal
+from symrec.rng import (
+    child_seed, child_seeds, complex_normal_dot, rng_for, standard_complex_normal,
+)
 from symrec.wave_packets import BLOCK_ENTRIES, WavePacketFamily, lattice_spacing_for
 
 from reference_quadrature import spectrum
@@ -84,6 +86,17 @@ def test_same_seed_same_path(base_family):
     p1 = sample_path(kernel, 987654321)
     p2 = sample_path(kernel, 987654321)
     assert np.array_equal(p1, p2)
+
+
+def test_path_batch_draws_the_single_path_streams(base_family):
+    # each row's white draw is that of sample_path(kernel, seed)
+    kernel = build_kernel(base_family, [8.0, 8.05, 8.2], 0.0)
+    seeds = [0, 7, 2**63 + 5, 2**64 - 1, *child_seeds(3, np.arange(4), "iso").tolist()]
+    want = kernel.apply_factor(np.array(
+        [standard_complex_normal(rng_for(seed, "noise-path"), kernel.size) for seed in seeds]
+    ))
+    assert np.array_equal(sample_paths(kernel, seeds), want)
+    assert np.array_equal(sample_paths(kernel, np.array(seeds, dtype=np.uint64)), want)
 
 
 def test_pooled_functionals_equal_serial_above_blas_threading_size(rng):
@@ -303,6 +316,20 @@ class TestBasisOracle:
             assert np.array_equal(u[k], want_u)
             assert np.array_equal(v[k], want_v)
 
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_complex_at_x0_zero_as_with_the_phase(self, base_family, monkeypatch, beta):
+        # the kernel's patch is real at x0 = 0; the oracle keeps complex
+        # coefficients, so they and its samples are those of the phase route
+        nodes = np.array(self.NODES)
+        args = (base_family, nodes, beta, 128, 32)
+        u, v = _oracle_coefficients(*args)
+        samples = basis_oracle_batch(*args[:4], 123, 300, 32)
+        monkeypatch.setattr(noise_engine, "_node_patch_matrix", _complex_phase_patch)
+        want_u, want_v = _oracle_coefficients(*args)
+        assert u.dtype == v.dtype == complex
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        assert np.array_equal(samples, basis_oracle_batch(*args[:4], 123, 300, 32))
+
 
 def _one_array_oracle(family, nodes, beta, seed, n_samples, draw_batch):
     """``basis_oracle_batch`` drawing each batch as one complex array and
@@ -325,8 +352,41 @@ def test_nodes_must_increase(base_family):
         build_kernel(base_family, [8.0, 4.0], 0.0)
 
 
-def _patch_matrix(family, nodes, spacing):
-    return _node_patch_matrix(family, nodes, spacing, *_node_windows(family, nodes, spacing))
+def _patch_matrix(family, nodes, spacing, patch=_node_patch_matrix):
+    return patch(family, nodes, spacing, *_node_windows(family, nodes, spacing))
+
+
+def _complex_phase_patch(family, nodes, spacing, centers, ranges):
+    """``_node_patch_matrix`` with the phase exp(-i xi x0) at every x0, 0
+    included, where it is exactly 1 + 0j and the library leaves it out."""
+    ts = np.asarray(nodes, dtype=float)
+    k_min = int(ranges[:, 0].min())
+    xi_cols = (np.arange(k_min, int(ranges[:, 1].max()) + 1) + 0.5) * spacing
+    lengths = ranges[:, 1] - ranges[:, 0] + 1
+    indptr = np.zeros(ts.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=indptr[1:])
+    rows = np.repeat(np.arange(ts.size, dtype=np.int32), lengths)
+    cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
+    scales = np.array([float(t) ** -0.5 for t in ts])
+    phase = np.exp(-1j * xi_cols * family.x0)
+    envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
+    data = scales[rows] * phase[cols] * envelope
+    mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
+    return mat, xi_cols
+
+
+@pytest.mark.parametrize("x0", [0.0, -0.5, 0.3])
+def test_patch_is_real_at_x0_zero_alone(profile, x0):
+    family = WavePacketFamily(x0=x0, xi0=1.0, lam=2.5, profile=profile)
+    nodes = average_grid(16.0, 300)
+    spacing = lattice_spacing_for(nodes)
+    mat, xi_cols = _patch_matrix(family, nodes, spacing)
+    ref, ref_xi = _patch_matrix(family, nodes, spacing, _complex_phase_patch)
+    assert np.array_equal(xi_cols, ref_xi)
+    assert mat.dtype == (float if x0 == 0.0 else complex)
+    assert np.array_equal(mat.data, ref.data)
+    if x0 != 0.0:
+        assert np.count_nonzero(ref.data.imag) > ref.nnz // 2
 
 
 def _patch_matrix_per_row(family, nodes, spacing):
@@ -374,12 +434,12 @@ def _banded(cov: scipy.sparse.coo_matrix) -> np.ndarray:
     return out
 
 
-def _multiply_route_bands(family, nodes, beta):
+def _multiply_route_bands(family, nodes, beta, patch=_node_patch_matrix):
     """The kernel bands from one gram over the whole patch matrix, with the
     weights applied through ``multiply``, which returns a COO copy of the
     patch; ``build_kernel`` scales in place, one row tile at a time."""
     spacing = lattice_spacing_for(nodes)
-    mat, xi_cols = _patch_matrix(family, nodes, spacing)
+    mat, xi_cols = _patch_matrix(family, nodes, spacing, patch)
     col_weights = JapaneseBracketWeight(beta)(xi_cols) * spacing
     gram = ((mat.conj().multiply(col_weights)) @ mat.T).tocsr()
     gram_r = 0.5 * (gram + gram.getH()).real
@@ -392,6 +452,17 @@ def test_in_place_weighting_matches_the_multiply_route(base_family, beta, n_node
     nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
     kernel = build_kernel(base_family, nodes, beta)
     assert np.array_equal(kernel.banded, _multiply_route_bands(base_family, nodes, beta))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.4])
+@pytest.mark.parametrize("lam", [2.0, 2.5])
+@pytest.mark.parametrize("n_nodes", [1, 640, 1500])   # single, dense, banded
+def test_real_kernel_at_x0_zero_equals_the_complex_phase_route(profile, beta, lam, n_nodes):
+    family = WavePacketFamily(x0=0.0, xi0=1.0, lam=lam, profile=profile)
+    nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
+    kernel = build_kernel(family, nodes, beta)
+    want = _multiply_route_bands(family, nodes, beta, _complex_phase_patch)
+    assert np.array_equal(kernel.banded, want)
 
 
 # The README design: term 2 averaged at N = 48 with lambda = 2.5, 9,407 nodes.

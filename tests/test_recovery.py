@@ -20,7 +20,9 @@ from symrec.measurement_recovery import (
 from symrec.noise_engine import build_kernel
 from symrec.parallel import worker_limit
 from symrec.rng import child_seed, rng_for, standard_complex_normal
-from symrec.stats_harness import _estimator_samples, trajectory_as_convergence_check
+from symrec.stats_harness import (
+    _estimator_design, _estimator_samples, trajectory_as_convergence_check,
+)
 from symrec.symbols import (
     HomogeneousTerm,
     SymbolExpansion,
@@ -236,7 +238,9 @@ def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_p
         expected = estimate(model, plan, j, N, noise=False)
         got = [
             next(r.estimate for r in session.rows if r.term_index == j),
-            _estimator_samples(model, plan, j, N, 3, 0, "rate-0", noise=False)[0],
+            _estimator_samples(
+                *_estimator_design(model, plan, j, N, noise=False), 3, 0, "rate-0"
+            )[0],
             trajectory_as_convergence_check(
                 model, plan, j, [N, 2 * N], noise=False
             ).estimates[0],

@@ -26,6 +26,35 @@ def test_bridge_plateaus(profile):
     assert profile.chi_hat(np.array([-1.1]))[0] == 0.0
 
 
+def _guarded_bridge_sigma(r, sharpness):
+    """``bridge_sigma`` as it was written with guards for u <= 0 and u >= 1,
+    which never occur inside the bridge."""
+    r = np.abs(np.asarray(r, dtype=float))
+    out = np.zeros_like(r)
+    out[r <= 0.5] = 1.0
+    mid = (r > 0.5) & (r < 1.0)
+    u = (1.0 - r[mid]) / 0.5
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        a = np.where(u > 0.0, np.exp(-sharpness / np.maximum(u, 1e-300)), 0.0)
+        b = np.where(u < 1.0, np.exp(-sharpness / np.maximum(1.0 - u, 1e-300)), 0.0)
+    out[mid] = a / (a + b)
+    return out
+
+
+@pytest.mark.parametrize("sharpness", [0.25, 1.0, 3.0])
+def test_bridge_equals_the_guarded_formula(sharpness):
+    edges = np.array([0.5, 1.0, 0.75])
+    near = np.concatenate(
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+         np.nextafter(np.nextafter(edges, 0.0), 0.0), np.nextafter(np.nextafter(edges, 2.0), 2.0)]
+    )
+    r = np.concatenate([np.linspace(0.0, 1.2, 400_001), near, -near])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):  # the CLI's
+        got = bridge_sigma(r, sharpness)
+    assert np.array_equal(got, _guarded_bridge_sigma(r, sharpness))
+    assert np.all(got[np.abs(r) <= 0.5] == 1.0) and np.all(got[np.abs(r) >= 1.0] == 0.0)
+
+
 def test_normalization_against_fine_quadrature(profile):
     # independent oracle: Simpson on a dense grid of the bridge
     r = np.linspace(0.0, 1.0, 200_001)
