@@ -33,7 +33,7 @@ from .errors import ConfigError, NumericalError
 from .expressions import ExpressionError, parse_coeff
 from .measurement_recovery import MeasurementModel, RecoverySession, plan_orders
 from .noise_engine import basis_oracle_batch, build_kernel, sample_paths
-from .parallel import USABLE_CORES, parallel_map, worker_limit
+from .parallel import USABLE_CORES, worker_limit
 from .rng import child_seed, child_seeds
 from .stats_harness import (
     SlopeRegression,
@@ -398,12 +398,11 @@ def _cmd_recover(cfg: ExperimentConfig):
     )
     # Only the first trial's trajectories are plotted; the others would hold
     # every node's contribution for every row.
-    reports = parallel_map(
-        lambda trial: session.run_seed(
-            child_seed(cfg.seed, trial, "recover-trial"), trajectories=trial == 0
-        ),
-        range(cfg.trials),
-    )
+    seeds = child_seeds(cfg.seed, np.arange(cfg.trials), "recover-trial")
+    reports = [
+        session.run_seed(seed, noise, trajectories=trial == 0)
+        for trial, (seed, noise) in enumerate(zip(seeds.tolist(), session.trial_noise(seeds)))
+    ]
 
     # the same pass groups the errors by term and by (term, x0), in row order
     rows = []

@@ -26,6 +26,11 @@ without B, in one bucketed moment pass over the nodes
 quadrature.  Only the plotted trajectory (subtract = self, at x0_grid[0])
 needs node-length forms: those of the terms recovered in that trial,
 evaluated pointwise like any other coefficient.
+
+A session draws the trials' noise before it runs them: per design, the
+stream keys of every (trial, grid point) pair are derived in one call and
+drawn in one batch (``RecoverySession.trial_noise``), and each trial
+(``run_seed``) takes its own entry.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ import numpy as np
 
 from . import splines
 from .errors import ConfigError, NumericalError
-from .noise_engine import build_kernel, sample_functional, sample_path
+from .noise_engine import build_kernel, sample_path
 from .parallel import USABLE_CORES, parallel_map
-from .rng import child_seed, complex_normal_dot, keyed_streams, stream_keys
+from .rng import child_seed, child_seeds, complex_normal_dot, keyed_streams, stream_keys
 from .symbols import (
     HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
 )
@@ -172,7 +177,7 @@ class TermDesign:
     signal is (f_t|P f_t) - sum_k (f_t|Q_k f_t) over the nodes, and the
     noise one joint path L z from ``kernel`` (None when the noise is off).
     An estimate is sum w (s + L z) = w @ s + u @ z with u = L^T w, so every
-    trial draws z and contracts it with u (``noise``, ``noise_batch``);
+    trial draws z and contracts it with u (``keyed_noise``, ``noise_batch``);
     the full path (``noise_path``) is formed only where it is plotted.
     """
 
@@ -253,30 +258,33 @@ class TermDesign:
             return np.zeros(self.nodes.size, dtype=complex)
         return sample_path(self.kernel, seed)
 
-    def noise(self, seed: int) -> complex:
-        """The estimate's noise u @ z, with z the draw of ``noise_path(seed)``;
-        zero when the noise is off."""
-        if self.kernel is None:
-            return 0j
-        return sample_functional(self.noise_weights, seed)
-
     def estimate(self, values: np.ndarray) -> complex:
         """sum_t w_t values_t for one path of signal plus noise."""
         return complex(np.sum(self.weights * values))
 
+    def keyed_noise(self, keys) -> np.ndarray:
+        """u @ z for each Philox key in ``keys`` (shape (..., 2), as
+        ``stream_keys`` returns them), z the draw of that stream's
+        ``noise_path``; shape ``keys.shape[:-1]``, zeros when the noise is
+        off.  The keys are drawn in one contiguous chunk per usable core, on
+        worker threads, each chunk on one generator switched from key to key,
+        so the values do not depend on the thread count."""
+        keys = np.asarray(keys)
+        if self.kernel is None:
+            return np.zeros(keys.shape[:-1], dtype=complex)
+        u = self.noise_weights
+        chunks = parallel_map(
+            lambda chunk: [complex_normal_dot(rng, u) for rng in keyed_streams(chunk)],
+            np.array_split(keys.reshape(-1, 2), USABLE_CORES),
+        )
+        draws = [draw for chunk in chunks for draw in chunk]
+        return np.array(draws, dtype=complex).reshape(keys.shape[:-1])
+
     def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
         """u @ z for each trial, z keyed by (master_seed, trial, *key): the
         draws of ``rng_for(master_seed, trial, *key)``, with every key
-        derived in one call.  Once u is formed, the trials are drawn in one
-        contiguous chunk per usable core, on worker threads, each chunk on
-        one generator switched from key to key."""
-        u = self.noise_weights
-        keys = stream_keys(master_seed, np.arange(trials), *key)
-        chunks = parallel_map(
-            lambda chunk: [complex_normal_dot(rng, u) for rng in keyed_streams(chunk)],
-            np.array_split(keys, USABLE_CORES),
-        )
-        return np.array([draw for chunk in chunks for draw in chunk], dtype=complex)
+        derived in one call (``keyed_noise``)."""
+        return self.keyed_noise(stream_keys(master_seed, np.arange(trials), *key))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +324,8 @@ def spline_form_sums(
     so the thresholds x_m - x0_i over all (i, m), sorted, cut the delta
     axis into buckets that every (base point, interval) pair covers whole.
     One pass over the nodes takes each bucket's moments sum g (delta - e)^p
-    (p = 0..3) about its left edge e: summed per node first, then weighted
+    (p = 0..3) about its left edge e, of the real and imaginary parts of g
+    apart, in real arithmetic: summed per node first, then weighted
     and summed pairwise over the nodes.  Base point i then shifts each
     bucket by s = e - (x_m - x0_i) >= 0 and expands d^q = (delta - e + s)^q
     binomially: every term is non-negative in the offsets, so nothing
@@ -335,12 +344,13 @@ def spline_form_sums(
     # buckets where the thresholds of two base points nearly coincide.
     thresholds = breaks[None, :] - x0s[:, None]        # (base point, break)
     edges = np.unique(thresholds)
-    moments = np.zeros((4, edges.size + 1), dtype=complex)
+    moments = np.zeros((4, 2, edges.size + 1))      # (power, real/imag part, bucket)
     block = block_rows(profile.y.size)
     for lo in range(0, nodes.size, block):
         ts = nodes[lo : lo + block]
-        # (node, y) layout: y is ascending, so each node's buckets come in runs
-        g = (profile.y_weights[:, None] * spectral_transform(family, term, ts)).T.ravel()
+        # (part, node, y) layout: y is ascending, so each node's buckets come in runs
+        g = np.stack(spectral_transform(family, term, ts)) * profile.y_weights[:, None]
+        g = g.transpose(0, 2, 1).reshape(2, -1)
         delta = np.outer(1.0 / ts, profile.y)
         bucket = np.searchsorted(edges, delta, side="right")   # 0: below every edge
         u = (delta - edges[np.maximum(bucket - 1, 0)]).ravel()
@@ -355,8 +365,8 @@ def spline_form_sums(
         for p in range(4):
             if p:
                 g = g * u
-            run = np.add.reduceat(g, starts)[order] * run_weight
-            moments[p, hit] += np.add.reduceat(run, first)
+            run = np.add.reduceat(g, starts, axis=1)[:, order] * run_weight
+            moments[p][:, hit] += np.add.reduceat(run, first, axis=1)
 
     # Per (base point, bucket): the interval m (-1 below the hull, n - 1
     # above it) and the shift s of the bucket's left edge into it.
@@ -370,18 +380,18 @@ def spline_form_sums(
         inside, left - np.take_along_axis(thresholds, m, axis=1),
         np.where(interval < 0, 0.0, breaks[-1] - breaks[-2]),
     )
-    mom = [np.broadcast_to(moments[0], shift.shape)] + [
-        np.where(inside, moments[p], 0.0) for p in (1, 2, 3)
+    mom = [np.broadcast_to(moments[0][:, None], (2,) + shift.shape)] + [
+        np.where(inside, moments[p][:, None], 0.0) for p in (1, 2, 3)
     ]
     pieces = np.empty((4, x0s.size, n_int), dtype=complex)
     bins = (np.arange(x0s.size)[:, None] * n_int + m).ravel()
     for q in range(4):
-        part = sum(
+        re, im = sum(
             math.comb(q, p) * shift ** (q - p) * mom[p] for p in range(q + 1)
-        ).ravel()
+        ).reshape(2, -1)
         pieces[q] = (
-            np.bincount(bins, part.real, x0s.size * n_int)
-            + 1j * np.bincount(bins, part.imag, x0s.size * n_int)
+            np.bincount(bins, re, x0s.size * n_int)
+            + 1j * np.bincount(bins, im, x0s.size * n_int)
         ).reshape(x0s.size, n_int)
     return np.tensordot(pieces, coefs[::-1], axes=([0, 2], [0, 1]))
 
@@ -484,8 +494,8 @@ class RecoverySession:
                 self.cardinal_sums[(j, k)] = spline_form_sums(
                     design.family, design.nodes, design.weights, term, self.x0_grid
                 )
-        # The trials run on worker threads, so u = L^T w, and with it the
-        # factor, is formed here: no trial fills a lazy cache.
+        # u = L^T w, and with it the factor, is formed with the session, so
+        # the set-up is all here and ``trial_noise`` only draws.
         for design in self.designs.values():
             if design.kernel is not None:
                 design.noise_weights
@@ -505,18 +515,30 @@ class RecoverySession:
             **side,
         )
 
-    def run_seed(self, seed: int, trajectories: bool = True) -> EstimatorReport:
-        """One trial: fresh noise on every signal, the estimate and its error
-        per (subtraction, term, grid point).  With ``trajectories`` the
-        report also keeps the per-node contributions of the plotted mode's
-        estimates at x0_grid[0], whose noise is the full path L z of the
-        same draw z; the estimates take only u @ z either way."""
-        report = EstimatorReport([])
-        grid = range(self.x0_grid.size)
-        noise = {
-            j: np.array([design.noise(child_seed(seed, "recover", j, i)) for i in grid])
+    def trial_noise(self, seeds) -> list:
+        """Every trial's noise, one dict per seed: term j to the estimates'
+        noise u @ z over the grid points i, z the draw of
+        ``noise_path(child_seed(seed, "recover", j, i))``.  For each design
+        the stream keys of all (trial, grid point) pairs are derived in one
+        call and drawn in one batch (``TermDesign.keyed_noise``)."""
+        seeds = np.asarray(seeds, dtype=np.uint64)
+        grid = np.arange(self.x0_grid.size)
+        draws = {
+            j: design.keyed_noise(stream_keys(
+                child_seeds(seeds[:, None], "recover", j, grid), "noise-path"
+            ))
             for j, design in self.designs.items()
         }
+        return [{j: noise[t] for j, noise in draws.items()} for t in range(seeds.size)]
+
+    def run_seed(self, seed: int, noise: dict, trajectories: bool = True) -> EstimatorReport:
+        """One trial: ``noise`` (the trial's entry of ``trial_noise(seeds)``)
+        on every signal, the estimate and its error per (subtraction, term,
+        grid point).  With ``trajectories`` the report also keeps the
+        per-node contributions of the plotted mode's estimates at
+        x0_grid[0], whose noise is the full path L z of the same draw z; the
+        estimates take only u @ z either way."""
+        report = EstimatorReport([])
         for subtract in self.modes:
             recovered = []
             for j, design in self.designs.items():

@@ -10,7 +10,7 @@ exact for any finite node set and O(K^2) at worst.  A full path L z is
 formed only where the path itself is the output (``sample_path``,
 ``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
 u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
-``sample_functional`` draws from the same z without forming L z.
+``rng.complex_normal_dot`` draws from the same stream without forming L z.
 
 The kernel's bands are built one row tile at a time (``build_kernel``):
 a tile's gram rows need only the patch rows of the tile and of the rows
@@ -35,9 +35,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .errors import ConfigError, NumericalError
-from .rng import (
-    complex_normal_dot, keyed_streams, rng_for, standard_complex_normal, stream_keys,
-)
+from .rng import keyed_streams, rng_for, standard_complex_normal, stream_keys
 from .wave_packets import BLOCK_ENTRIES, WavePacketFamily, block_rows, lattice_spacing_for
 
 _DENSE_LIMIT = 1200
@@ -316,13 +314,6 @@ def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:
     rng = rng_for(seed, "noise-path")
     z = standard_complex_normal(rng, kernel.size)
     return kernel.apply_factor(z)
-
-
-def sample_functional(u: np.ndarray, seed: int) -> complex:
-    """u @ z for the z that ``sample_path`` draws at ``seed``.  With
-    u = kernel.apply_factor_transpose(w) this is w @ sample_path(kernel,
-    seed) up to rounding, at the cost of the draw alone."""
-    return complex_normal_dot(rng_for(seed, "noise-path"), u)
 
 
 def sample_paths(kernel: NoiseKernel, seeds) -> np.ndarray:

@@ -95,15 +95,22 @@ def _as_terms(P) -> tuple:
     raise TypeError(f"symbols: cannot interpret {type(P).__name__} as a symbol")
 
 
-def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> np.ndarray:
-    """S_t(y) of ``term`` (see ``packet_quadratic_form``) on the unit y grid,
-    shape (y, node) for the packet scales ``ts``.  It does not depend on x0."""
+def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> tuple:
+    """Real and imaginary parts of S_t(y) of ``term`` (see
+    ``packet_quadratic_form``) on the unit y grid, each of shape (y, node)
+    for the packet scales ``ts``.  They do not depend on x0.
+
+    The integrand g = chi_hat s is real and the eta grid antisymmetric, so
+    eta nodes n and -1 - n pair into cos(y eta_n) (g_n + g_{-1-n}) and
+    i sin(y eta_n) (g_n - g_{-1-n}): two real products over half the grid."""
     profile = family.profile
     ts = np.asarray(ts, dtype=float)
     centers = ts ** family.lam * family.xi0
     xi_grid = centers[None, :] + np.outer(profile.eta, ts)  # (eta, k)
-    svals = term.spectral_factor(xi_grid)
-    return profile.unit_kernel @ (profile.chi_hat_eta[:, None] * svals)
+    g = profile.chi_hat_eta[:, None] * term.spectral_factor(xi_grid)
+    half = profile.kernel_cos.shape[1]
+    mirrored = g[::-1][:half]
+    return profile.kernel_cos @ (g[:half] + mirrored), profile.kernel_sin @ (g[:half] - mirrored)
 
 
 def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.ndarray:
@@ -120,7 +127,10 @@ def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.n
     independent nested quadrature on a physical grid.
 
     S_j,t does not depend on x0, so it is computed once per term and node
-    block and shared by every base point.  A block holds as many nodes as
+    block, its real and imaginary parts weighted by chi(y) dy, and shared by
+    every base point, which contracts each part with the coefficient in
+    real arithmetic (a complex coefficient gives complex parts, and
+    sum c S = sum c Re S + i sum c Im S).  A block holds as many nodes as
     fit ``BLOCK_ENTRIES`` (y, node) entries.  An array ``x0`` adds a
     leading base-point axis to the result.
     """
@@ -129,16 +139,17 @@ def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.n
     t_nodes = np.atleast_1d(np.asarray(t_nodes, dtype=float))
     out = np.zeros((x0s.size, t_nodes.size), dtype=complex)
     block = block_rows(profile.y.size)
+    weights = profile.y_weights[:, None]
     for term in _as_terms(P):
         for lo in range(0, t_nodes.size, block):
             ts = t_nodes[lo : lo + block]
-            s_y = spectral_transform(family, term, ts)
+            s_re, s_im = (weights * part for part in spectral_transform(family, term, ts))
             offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
             for i, base in enumerate(x0s):
                 cvals = np.asarray(term.coefficient(base + offsets))
-                out[i, lo : lo + block] += np.einsum(
-                    "y,yk,yk->k", profile.y_weights, cvals, s_y
-                )
+                re = np.einsum("yk,yk->k", cvals, s_re)
+                im = np.einsum("yk,yk->k", cvals, s_im)
+                out[i, lo : lo + block] += re + 1j * im
     return out if np.ndim(x0) else out[0]
 
 

@@ -136,10 +136,14 @@ class PacketProfile:
         dy = 2.0 * r / _Y_POINTS
         self.y = -r + (np.arange(_Y_POINTS) + 0.5) * dy
         self.chi_y = self.chi(self.y)
-        # Fourier kernel for S(y) = (2*pi)^(-1/2) * integral exp(i*y*eta) g(eta) deta
-        self.unit_kernel = np.exp(1j * np.outer(self.y, self.eta)) * (
-            deta / np.sqrt(TWO_PI)
-        )
+        # Fourier kernel for S(y) = (2*pi)^(-1/2) * integral exp(i*y*eta) g(eta) deta,
+        # kept as its cosine and sine over the first half of the eta grid:
+        # eta is antisymmetric bit for bit (eta[-1 - n] == -eta[n]), so the
+        # kernel's column -1 - n is the conjugate of column n.
+        half = self.eta[: _ETA_POINTS // 2]
+        phase = np.outer(self.y, half)
+        self.kernel_cos = np.cos(phase) * (deta / np.sqrt(TWO_PI))
+        self.kernel_sin = np.sin(phase) * (deta / np.sqrt(TWO_PI))
         self.y_weights = self.chi_y * dy
 
 

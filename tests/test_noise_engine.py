@@ -23,13 +23,13 @@ from symrec.noise_engine import (
     _oracle_coefficients,
     basis_oracle_batch,
     build_kernel,
-    sample_functional,
     sample_path,
     sample_paths,
 )
 from symrec.parallel import parallel_map, worker_limit
 from symrec.rng import (
-    child_seed, child_seeds, complex_normal_dot, rng_for, standard_complex_normal,
+    child_seed, child_seeds, complex_normal_dot, keyed_streams, rng_for,
+    standard_complex_normal, stream_keys,
 )
 from symrec.wave_packets import BLOCK_ENTRIES, WavePacketFamily, lattice_spacing_for
 
@@ -182,7 +182,8 @@ def test_plain_variance_slope_from_kernel(base_family):
 @pytest.mark.parametrize("N, n_nodes, kind", [(12.5, 200, "dense"), (94.0, 1500, "banded")])
 def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
     # L^T w against w @ L, with L read off apply_factor on an identity batch;
-    # then u @ z against w @ (L z) for the z of one sample_path draw
+    # then u @ z, drawn from the batched stream keys, against w @ (L z) for
+    # the z of the sample_path draw at the same seed
     kernel = build_kernel(base_family, average_grid(N, n_nodes), 0.0)
     assert kernel.factor()[0] == kind
     L = kernel.apply_factor(np.eye(kernel.size)).T
@@ -190,10 +191,11 @@ def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
     u = kernel.apply_factor_transpose(w)
     want = w @ L
     assert np.max(np.abs(u - want)) <= 1e-12 * np.max(np.abs(want))
-    for seed in (5, 2**63 + 11):
+    seeds = [5, 2**63 + 11]
+    scale = np.sqrt(kernel.quad_form(w))
+    for seed, rng in zip(seeds, keyed_streams(stream_keys(seeds, "noise-path"))):
         path = sample_path(kernel, seed)
-        scale = np.sqrt(kernel.quad_form(w))
-        assert abs(sample_functional(u, seed) - w @ path) <= 1e-12 * scale
+        assert abs(complex_normal_dot(rng, u) - w @ path) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("N, n_nodes", [(12.5, 200), (94.0, 1500)])

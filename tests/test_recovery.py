@@ -19,7 +19,9 @@ from symrec.measurement_recovery import (
 )
 from symrec.noise_engine import build_kernel
 from symrec.parallel import worker_limit
-from symrec.rng import child_seed, rng_for, standard_complex_normal
+from symrec.rng import (
+    child_seed, child_seeds, complex_normal_dot, rng_for, standard_complex_normal, stream_keys,
+)
 from symrec.stats_harness import (
     _estimator_design, _estimator_samples, trajectory_as_convergence_check,
 )
@@ -32,11 +34,18 @@ from symrec.symbols import (
 
 def estimate(model, plan, j, N, seed=0, noise=True, n_nodes=None):
     """The oracle-subtracted estimate of term j at scale N in its planned
-    mode, with the noise keyed by (seed, "plain" or "avg", j)."""
+    mode, with the noise drawn from the path stream of
+    child_seed(seed, "plain" or "avg", j)."""
     design = TermDesign.for_term(model, plan, j, N, n_nodes, noise)
     tag = "plain" if plan.mode(j) == "plain" else "avg"
     value = design.estimate(design.signal(model.observable, j))
-    return value + design.noise(child_seed(seed, tag, j))
+    keys = stream_keys(child_seed(seed, tag, j), "noise-path")
+    return value + complex(design.keyed_noise(keys))
+
+
+def run_trial(session, seed, trajectories=True):
+    """session.run_seed for one seed, with that seed's batched noise."""
+    return session.run_seed(seed, session.trial_noise([seed])[0], trajectories)
 
 
 class TestPlanOrders:
@@ -169,10 +178,11 @@ def test_subtraction_telescoping(two_term_model):
 
 
 def test_recover_expansion_single_seed(two_term_model, two_term_plan):
-    report = RecoverySession(
+    session = RecoverySession(
         two_term_model, two_term_plan, np.linspace(-0.5, 0.5, 5), 48.0,
         subtract_mode="oracle",
-    ).run_seed(2024)
+    )
+    report = run_trial(session, 2024)
     assert len(report.rows) == 10
     assert report.errors().max() < 0.1
 
@@ -206,7 +216,7 @@ def test_self_subtract_error_propagation(two_term_model, two_term_plan):
         24.0,
         subtract_mode="both",
     )
-    report = session.run_seed(99)
+    report = run_trial(session, 99)
     term1 = [r for r in report.rows if r.term_index == 1 and r.subtract == "oracle"]
     by_key = {
         (r.subtract, r.x0): r.estimate
@@ -233,7 +243,7 @@ def test_self_subtract_needs_dense_grid(two_term_model, two_term_plan):
 
 def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_plan):
     model, plan, N = two_term_model, two_term_plan, 8.0
-    session = RecoverySession(model, plan, [model.x0], N, noise=False).run_seed(0)
+    session = run_trial(RecoverySession(model, plan, [model.x0], N, noise=False), 0)
     for j in (1, 2):
         expected = estimate(model, plan, j, N, noise=False)
         got = [
@@ -271,8 +281,36 @@ def test_noise_batch_does_not_depend_on_the_worker_limit(two_term_model, two_ter
     assert np.array_equal(pooled, serial)
 
 
+def test_session_noise_is_each_trial_point_stream_drawn_in_one_batch(
+    two_term_model, two_term_plan
+):
+    # the recover CLI's trial seeds, then one batch per design: each value is
+    # the draw of the stream that the trial and grid point key on their own
+    session = RecoverySession(two_term_model, two_term_plan, np.linspace(-0.5, 0.5, 5), 8.0)
+    seed, trials = 29, 7
+    trial_seeds = child_seeds(seed, np.arange(trials), "recover-trial")
+    want = {
+        j: np.array([
+            [complex_normal_dot(
+                rng_for(child_seed(child_seed(seed, t, "recover-trial"), "recover", j, i),
+                        "noise-path"),
+                design.noise_weights,
+            ) for i in range(5)]
+            for t in range(trials)
+        ])
+        for j, design in session.designs.items()
+    }
+    with worker_limit(1):
+        serial = session.trial_noise(trial_seeds)
+    pooled = session.trial_noise(trial_seeds)
+    for noise in (serial, pooled):
+        assert len(noise) == trials
+        for j in session.designs:
+            assert np.array_equal(np.array([n[j] for n in noise]), want[j])
+
+
 def test_session_factors_every_noisy_design_before_any_trial(two_term_model, two_term_plan):
-    # the trials run on worker threads, so none of them may fill a lazy cache
+    # the session does all the set-up; a batch of draws only reads u = L^T w
     session = RecoverySession(two_term_model, two_term_plan, [0.0], 8.0)
     for design in session.designs.values():
         assert design.kernel._factor is not None
@@ -289,14 +327,14 @@ def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_
         session = RecoverySession(
             two_term_model, two_term_plan, grid, 8.0, subtract_mode=mode
         )
-        report = session.run_seed(5, trajectories=True)
+        report = run_trial(session, 5, trajectories=True)
         assert sorted(report.trajectories) == [(plotted, 1, -0.25), (plotted, 2, -0.25)]
         for r in report.rows:
             if (r.subtract, r.term_index, r.x0) in report.trajectories:
                 _, contributions = report.trajectories[(r.subtract, r.term_index, r.x0)]
                 mean = np.mean(contributions)
                 assert abs(r.estimate - mean) <= 1e-12 * abs(mean)
-        assert session.run_seed(5, trajectories=False).rows == report.rows
+        assert run_trial(session, 5, trajectories=False).rows == report.rows
 
 
 @pytest.fixture(scope="module")
@@ -374,7 +412,7 @@ def test_cardinal_sums_match_the_pointwise_form(two_term_model, two_term_plan, g
 
 def test_session_rows_carry_the_truth_at_their_base_point(self_session, two_term_model):
     # the truths are computed once per session; every row must still get its own
-    rows = self_session.run_seed(3, trajectories=False).rows
+    rows = run_trial(self_session, 3, trajectories=False).rows
     assert len(rows) == 2 * 2 * 5  # modes * terms * grid points
     for r in rows:
         assert r.truth == two_term_model.truth(r.term_index, r.x0).real

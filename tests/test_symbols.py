@@ -9,6 +9,7 @@ from symrec.symbols import (
     asymptotic_error_probe,
     low_freq_cutoff,
     packet_quadratic_form,
+    spectral_transform,
 )
 from symrec.wave_packets import WavePacketFamily
 
@@ -102,6 +103,24 @@ def test_packet_path_matches_generic(family):
             generic = quadratic_form(p, P, grid)
             fast = packet_quadratic_form(family, [t], P)[0]
             assert abs(generic - fast) < 1e-8 * abs(generic)
+
+
+@pytest.mark.parametrize("lam", [2.0, 2.5, 4.5])
+@pytest.mark.parametrize("xi0", [1.0, -1.0])
+def test_half_grid_transform_matches_the_complex_product(profile, lam, xi0):
+    # the cosine and sine halves against exp(i y eta) deta / sqrt(2 pi) @ X
+    # over the whole eta grid, X = chi_hat s
+    family = WavePacketFamily(0.3, xi0, lam, profile)
+    ts = np.geomspace(4.0, 96.0, 25)
+    deta = 2.0 / profile.eta.size
+    full = np.exp(1j * np.outer(profile.y, profile.eta)) * (deta / np.sqrt(2.0 * np.pi))
+    xi = ts ** lam * xi0 + np.outer(profile.eta, ts)
+    for order in (1.0, 0.0, -0.5, -1.0):
+        term = HomogeneousTerm(order, parse_coeff("1"), h_minus=0.5, h_plus=1.5)
+        want = full @ (profile.chi_hat_eta[:, None] * term.spectral_factor(xi))
+        re, im = spectral_transform(family, term, ts)
+        assert re.dtype == im.dtype == np.float64
+        assert np.max(np.abs(re + 1j * im - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_linearity_over_terms(family):

@@ -55,6 +55,16 @@ def test_bridge_equals_the_guarded_formula(sharpness):
     assert np.all(got[np.abs(r) <= 0.5] == 1.0) and np.all(got[np.abs(r) >= 1.0] == 0.0)
 
 
+def test_eta_grid_is_antisymmetric_bit_for_bit(profile):
+    # the premise of the half-grid spectral transform: column -1 - n of the
+    # Fourier kernel is the conjugate of column n
+    assert profile.eta.size % 2 == 0
+    assert np.array_equal(profile.eta[::-1], -profile.eta)
+    assert profile.kernel_cos.shape == profile.kernel_sin.shape == (
+        profile.y.size, profile.eta.size // 2
+    )
+
+
 def test_normalization_against_fine_quadrature(profile):
     # independent oracle: Simpson on a dense grid of the bridge
     r = np.linspace(0.0, 1.0, 200_001)
