@@ -30,7 +30,6 @@ from .stats_harness import (
     SlopeRegression,
     nonconvergence_experiment,
     rate_certificate_experiment,
-    trajectory_as_convergence_check,
     variance_scaling_experiment,
     wilson_interval,
 )

@@ -470,6 +470,17 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
     trials = max(cfg.trials, 1000)
     t0 = cfg.scale
 
+    # the oracle runs first: it checks its truncated lattice before a kernel
+    # is built at a scale too large for it.  Each block's draws have their
+    # own key, so the order moves none of them.
+    nodes3 = np.array([t0, t0 * 1.005, t0 * 1.0125])
+    coarse = 32
+    oracle = basis_oracle_batch(
+        family, nodes3, cfg.beta, truncation=128,
+        seed=child_seed(cfg.seed, "oracle"), n_samples=trials,
+        points_per_min_window=coarse,
+    )
+
     kernel1 = build_kernel(family, [t0], cfg.beta)
     seeds = child_seeds(cfg.seed, np.arange(trials), "iso")
     vals = sample_paths(kernel1, seeds)[:, 0]
@@ -485,14 +496,7 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
         np.std(paths[:, 0] * paths[:, 1]) / np.sqrt(trials)
     )
 
-    nodes3 = np.array([t0, t0 * 1.005, t0 * 1.0125])
-    coarse = 32
     kernel3 = build_kernel(family, nodes3, cfg.beta, points_per_min_window=coarse)
-    oracle = basis_oracle_batch(
-        family, nodes3, cfg.beta, truncation=128,
-        seed=child_seed(cfg.seed, "oracle"), n_samples=trials,
-        points_per_min_window=coarse,
-    )
     emp_cov = (oracle.conj().T @ oracle / trials).real
     dense3 = kernel3.dense()
     rel_dev = np.abs(emp_cov - dense3) / dense3

@@ -205,20 +205,15 @@ class NoiseKernel:
         )
 
     def apply_factor(self, z: np.ndarray) -> np.ndarray:
-        """L @ z for one draw (or a batch with draws in rows)."""
+        """L @ z for a batch of draws, one draw per row."""
         kind, mat = self.factor()
-        single = z.ndim == 1
-        zz = z[None, :] if single else z
         if kind == "dense":
-            out = zz @ mat.T
-        else:
-            out = np.zeros_like(zz)
-            n = self.size
-            for d in range(mat.shape[0]):
-                if d >= n:
-                    break
-                out[:, d:] += mat[d, : n - d] * zz[:, : n - d]
-        return out[0] if single else out
+            return z @ mat.T
+        out = np.zeros_like(z)
+        n = self.size
+        for d in range(min(mat.shape[0], n)):
+            out[:, d:] += mat[d, : n - d] * z[:, : n - d]
+        return out
 
     def apply_factor_transpose(self, w: np.ndarray) -> np.ndarray:
         """L^T @ w for one real vector, so that w @ (L z) = (L^T w) @ z."""
@@ -309,16 +304,16 @@ def build_kernel(
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:
-    """One joint draw over the kernel's nodes: L z with z iid circular
-    complex normals."""
-    rng = rng_for(seed, "noise-path")
-    z = standard_complex_normal(rng, kernel.size)
-    return kernel.apply_factor(z)
+    """One joint draw over the kernel's nodes: the ``sample_paths`` row of
+    ``seed``."""
+    return sample_paths(kernel, [seed])[0]
 
 
 def sample_paths(kernel: NoiseKernel, seeds) -> np.ndarray:
-    """Batch of joint draws, one row per seed: row i is ``sample_path(kernel,
-    seeds[i])``, its stream key derived with all the others in one call."""
+    """Batch of joint draws over the kernel's nodes, one row per seed: row i
+    is L z with z iid circular complex normals from the stream
+    ``rng_for(seeds[i], "noise-path")``, its key derived with all the others
+    in one call."""
     keys = stream_keys(seeds, "noise-path")
     z = np.empty((len(keys), kernel.size), dtype=complex)
     for i, rng in enumerate(keyed_streams(keys)):
@@ -336,13 +331,14 @@ def _oracle_coefficients(
     points_per_min_window: int,
 ):
     spacing = lattice_spacing_for(nodes, points_per_min_window)
-    windows = _node_windows(family, nodes, spacing)
-    mat, xi_g = _node_patch_matrix(family, nodes, spacing, *windows)
-    if xi_g.size > truncation:
+    centers, ranges = _node_windows(family, nodes, spacing)
+    span = int(ranges[:, 1].max() - ranges[:, 0].min()) + 1  # the patch matrix's columns
+    if span > truncation:
         raise ConfigError(
             "noise_engine: node windows escape the truncated lattice "
-            f"({xi_g.size} > {truncation} frequencies)"
+            f"({span} > {truncation} frequencies)"
         )
+    mat, xi_g = _node_patch_matrix(family, nodes, spacing, centers, ranges)
     weight = JapaneseBracketWeight(beta)
     # complex at x0 = 0 too: the products below then round as they always have
     spectra = mat.toarray().astype(complex, copy=False)

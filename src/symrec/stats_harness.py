@@ -9,9 +9,7 @@ Covers four families of checks:
 * non-convergence in the low-order regime, where the deviation probability
   follows the circular-Gaussian tail exp(-c^2 / sigma^2) and climbs to one;
 * empirical rate certificates N0(eps, delta) with a fitted
-  C * max(1/eps, (log 1/delta)^(1/theta)) surface, plus single-path
-  trajectory checks inside shrinking tubes as a desk-scale surrogate for
-  almost-sure convergence.
+  C * max(1/eps, (log 1/delta)^(1/theta)) surface.
 
 Every probability estimate carries a Wilson half-width and every pass/fail
 rule uses bands, never raw point estimates.
@@ -26,14 +24,12 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
-from .noise_engine import JapaneseBracketWeight, build_kernel, sample_path
+from .noise_engine import JapaneseBracketWeight
 from .parallel import pipelined
-from .rng import child_seed
 from .wave_packets import WavePacketFamily, block_rows
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
 BAND_Z_SLACK = 3.0        # Wilson half-widths a deviation curve may stray
-TRAJECTORY_BURN_IN = 1    # leading scales the trajectory tube does not check
 
 
 # ---------------------------------------------------------------------------
@@ -109,13 +105,6 @@ def ks_2samp_pvalue(data1, data2) -> float:
             a = (n - k * h - j) * a / (n + k * h + j + 1)
         p = a * (1.0 - p)
     return min(max(2.0 * p, 0.0), 1.0)
-
-
-def _form_noise_weights(design: TermDesign) -> None:
-    """Form the design's factor and u = L^T w on the calling thread, after
-    its quadratures (a dense factor alive through them raises peak RSS), so
-    a pipelined draw only reads them."""
-    design.noise_weights  # a cached property: reading it forms it
 
 
 def complex_variance(values: np.ndarray) -> float:
@@ -232,7 +221,9 @@ def variance_scaling_experiment(
         kernel_var[gi] = design.kernel.quad_form(design.weights)
         if continuum is not None:
             continuum[gi] = continuum_average_variance(family_template, beta, m, grid[gi])
-        _form_noise_weights(design)
+        # form the factor and u = L^T w here, after the quadratures (a dense
+        # factor alive through them raises peak RSS): the draw only reads them
+        design.noise_weights
         return gi, design
 
     def draw(prepared):
@@ -324,7 +315,7 @@ def nonconvergence_experiment(
         base = design.estimate(design.signal(model.observable, j))
         det[gi] = abs(base - truth)
         sigma_sq[gi] = design.kernel.quad_form(design.weights)
-        _form_noise_weights(design)
+        design.noise_weights  # formed after the quadratures, as above
         return gi, design, base
 
     def draw(prepared):
@@ -369,27 +360,6 @@ class RateSurface:
         raise KeyError((eps, delta))
 
 
-def _estimator_design(
-    model: MeasurementModel, plan: OrderPlan, j: int, N: float, noise: bool = True,
-) -> tuple[TermDesign, complex]:
-    """The term-j design at scale N, factored when it is noisy, and its
-    noise-free estimate (oracle subtraction)."""
-    design = TermDesign.for_term(model, plan, j, N, noise=noise)
-    base = design.estimate(design.signal(model.observable, j))
-    if noise:
-        _form_noise_weights(design)
-    return design, base
-
-
-def _estimator_samples(
-    design: TermDesign, base: complex, trials: int, master_seed: int, purpose: str,
-) -> np.ndarray:
-    """Trials of an estimator: its noise-free estimate plus each trial's noise."""
-    if design.kernel is None:
-        return np.full(trials, base, dtype=complex)
-    return base + design.noise_batch(trials, master_seed, purpose)
-
-
 def rate_certificate_experiment(
     model: MeasurementModel,
     plan: OrderPlan,
@@ -423,11 +393,15 @@ def rate_certificate_experiment(
     truth = model.truth(j).real
 
     def prepare(ni):
-        return ni, *_estimator_design(model, plan, j, n_grid[ni], noise)
+        design = TermDesign.for_term(model, plan, j, n_grid[ni], noise=noise)
+        base = design.estimate(design.signal(model.observable, j))
+        if noise:
+            design.noise_weights  # formed after the quadratures, as above
+        return ni, design, base
 
     def draw(prepared):
         ni, design, base = prepared
-        return np.abs(_estimator_samples(design, base, trials, master_seed, f"rate-{ni}") - truth)
+        return np.abs(base + design.noise_batch(trials, master_seed, f"rate-{ni}") - truth)
 
     errors = np.array(pipelined(prepare, draw, range(n_grid.size)))
 
@@ -477,75 +451,3 @@ def _fit_rate_surface(n0_values: dict) -> tuple[float, float]:
         if best is None or resid < best[0]:
             best = (resid, math.exp(log_c), theta)
     return best[1], best[2]
-
-
-# ---------------------------------------------------------------------------
-# Single-path trajectory check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrajectoryResult:
-    n_sequence: np.ndarray
-    estimates: np.ndarray
-    truth: float
-    tube: np.ndarray
-    theta: float
-    burn_in: int
-    passes: bool
-
-
-def trajectory_as_convergence_check(
-    model: MeasurementModel,
-    plan: OrderPlan,
-    j: int,
-    n_sequence,
-    seed: int = 0,
-    noise: bool = True,
-) -> TrajectoryResult:
-    """One noise realization followed along a geometric scale sequence.
-
-    The same white noise drives every scale: all nodes are sampled as one
-    joint path.  Passes when |estimate(N) - a_j| <= N^(-theta) for every N
-    after the first ``TRAJECTORY_BURN_IN``, with theta half the decay rate
-    of the estimator's standard deviation.
-    """
-    n_sequence = np.asarray(n_sequence, dtype=float)
-    _check_geometric(n_sequence, "trajectory")
-    lam = plan.lam(j)
-    m_j = plan.m_list[j - 1]
-    beta = plan.beta
-    if plan.mode(j) == "plain":
-        rate = lam * (m_j - 2.0 * beta)
-    else:
-        rate = lam * (m_j + 0.5 - 2.0 * beta) - 0.5
-    if rate <= 0.0:
-        raise ConfigError(
-            "stats_harness: trajectory tube rate is not positive; "
-            "term is outside the recoverable regime"
-        )
-    theta = 0.5 * rate
-
-    designs = [TermDesign.for_term(model, plan, j, N, noise=False) for N in n_sequence]
-    all_nodes = np.unique(np.concatenate([d.nodes for d in designs]))
-    noise_by_node = {}
-    if noise:
-        kernel = build_kernel(model.family_for(lam), all_nodes, model.beta)
-        path = sample_path(kernel, child_seed(seed, "trajectory", j))
-        noise_by_node = dict(zip(all_nodes.tolist(), path))
-
-    truth = model.truth(j).real
-    estimates = np.empty(n_sequence.size, dtype=complex)
-    for ni, design in enumerate(designs):
-        values = design.signal(model.observable, j)
-        if noise:
-            values = values + np.array([noise_by_node[t] for t in design.nodes.tolist()])
-        estimates[ni] = design.estimate(values)
-
-    tube = n_sequence ** (-theta)
-    deviations = np.abs(estimates - truth)
-    burn_in = TRAJECTORY_BURN_IN
-    passes = bool(np.all(deviations[burn_in:] <= tube[burn_in:]))
-    return TrajectoryResult(
-        n_sequence, estimates, truth, tube, float(theta), burn_in, passes
-    )

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import symrec
+from symrec import cli_io
 from symrec.cli_io import (
     _DISPATCH,
     ExperimentConfig,
@@ -296,6 +297,18 @@ class TestCommands:
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):
         err = _assert_one_line_failure(tmp_path, capsys, command, line, 2)
         assert key in err
+
+    def test_noise_stats_checks_the_oracle_lattice_before_any_kernel(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at scale 1e8 the pair kernel's lattice alone would ask for 19 GiB,
+        # so the oracle's 128-frequency check must come before every build
+        def no_kernel(*args, **kwargs):
+            raise AssertionError("a kernel was built before the oracle's lattice check")
+
+        monkeypatch.setattr(cli_io, "build_kernel", no_kernel)
+        err = _assert_one_line_failure(tmp_path, capsys, "noise-stats", "scale = 1e8", 2)
+        assert "truncated lattice" in err
 
     def test_import_leaves_slow_scipy_modules_unloaded(self):
         # the CLI's start-up cost: each of these takes tenths of a second

@@ -11,7 +11,6 @@ from symrec.stats_harness import (
     ks_2samp_pvalue,
     nonconvergence_experiment,
     rate_certificate_experiment,
-    trajectory_as_convergence_check,
     variance_scaling_experiment,
     wilson_interval,
 )
@@ -293,48 +292,3 @@ class TestRateCertificates:
                 two_term_model, two_term_plan, 1, [1e-9], [0.1],
                 [4, 6, 8], trials=200, master_seed=2,
             )
-
-
-class TestTrajectory:
-    SEQ = np.geomspace(8, 64, 7)
-
-    def test_noise_free_path_passes(self, two_term_model, two_term_plan):
-        res = trajectory_as_convergence_check(
-            two_term_model, two_term_plan, 1, self.SEQ, seed=5, noise=False
-        )
-        assert res.passes
-
-    def test_noisy_recoverable_passes_for_most_seeds(
-        self, two_term_model, two_term_plan
-    ):
-        passes = sum(
-            trajectory_as_convergence_check(
-                two_term_model, two_term_plan, 1, self.SEQ, seed=s
-            ).passes
-            for s in range(100)
-        )
-        assert passes >= 95
-
-    def test_failure_regime_fails_for_most_seeds(self, profile, two_term_plan):
-        # same estimator recipe, but the actual noise smoothness makes the
-        # noise variance grow: the tube check must fail almost always
-        terms = (
-            HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)")),
-            HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)")),
-        )
-        noisy_model = MeasurementModel(
-            SymbolExpansion(terms), 0.75, 0.0, 1.0, profile
-        )
-        fails = sum(
-            not trajectory_as_convergence_check(
-                noisy_model, two_term_plan, 1, self.SEQ, seed=s
-            ).passes
-            for s in range(100)
-        )
-        assert fails >= 95
-
-    def test_default_tube_rate(self, two_term_model, two_term_plan):
-        res = trajectory_as_convergence_check(
-            two_term_model, two_term_plan, 1, self.SEQ, seed=1, noise=False
-        )
-        assert res.theta == pytest.approx(0.5 * 2.0 * 1.0)
