@@ -32,7 +32,9 @@ from . import __version__
 from .errors import ConfigError, NumericalError
 from .expressions import ExpressionError, parse_coeff
 from .measurement_recovery import MeasurementModel, RecoverySession, plan_orders
-from .noise_engine import basis_oracle_batch, build_kernel, sample_paths
+from .noise_engine import (
+    ORACLE_POINTS_PER_MIN_WINDOW, basis_oracle_batch, build_kernel, sample_paths,
+)
 from .parallel import USABLE_CORES, worker_limit
 from .rng import child_seed, child_seeds
 from .stats_harness import (
@@ -474,11 +476,8 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
     # is built at a scale too large for it.  Each block's draws have their
     # own key, so the order moves none of them.
     nodes3 = np.array([t0, t0 * 1.005, t0 * 1.0125])
-    coarse = 32
     oracle = basis_oracle_batch(
-        family, nodes3, cfg.beta, truncation=128,
-        seed=child_seed(cfg.seed, "oracle"), n_samples=trials,
-        points_per_min_window=coarse,
+        family, nodes3, cfg.beta, seed=child_seed(cfg.seed, "oracle"), n_samples=trials
     )
 
     kernel1 = build_kernel(family, [t0], cfg.beta)
@@ -496,7 +495,9 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
         np.std(paths[:, 0] * paths[:, 1]) / np.sqrt(trials)
     )
 
-    kernel3 = build_kernel(family, nodes3, cfg.beta, points_per_min_window=coarse)
+    kernel3 = build_kernel(
+        family, nodes3, cfg.beta, points_per_min_window=ORACLE_POINTS_PER_MIN_WINDOW
+    )
     emp_cov = (oracle.conj().T @ oracle / trials).real
     dense3 = kernel3.dense()
     rel_dev = np.abs(emp_cov - dense3) / dense3

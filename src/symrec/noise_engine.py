@@ -18,12 +18,17 @@ whose lattice windows meet it, so the memory of a build scales with the
 tile and the bandwidth, not with the node count, and the bands are the
 same, bit for bit, whatever the tiling.
 
+The kernel does not depend on x0: the packet phase exp(-i*xi*x0) cancels
+in conj(fhat_t) fhat_s, so the patch matrix (``_node_patch_matrix``) holds
+the real phase-free spectra and every x0 gets the same real gram.
+
 ``basis_oracle_batch`` realizes the error directly, as a truncated
 expansion over lattice bumps with iid Gaussian coefficients, purely to
 certify that the kernel route produces the same law.  It reads the packet
-spectra from the same patch matrix as the kernel (``_node_patch_matrix``),
-so the two routes share the spectra and differ in everything after them.
-The Sobolev weight (1 + |xi|^2)^beta of both is ``JapaneseBracketWeight``.
+spectra from the kernel's patch matrix and is the one place that applies
+the phase, so the two routes share the spectra and differ in everything
+after them.  The Sobolev weight (1 + |xi|^2)^beta of both is
+``JapaneseBracketWeight``.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ _PSD_TOL = 1e-10
 # Entries per basis-oracle draw batch: a batch draws all its real parts, then
 # all its imaginary parts, so this fixes which samples the stream feeds.
 _ORACLE_DRAW_BATCH = 10_000_000
+# Basis-oracle lattice: points per smallest window, and at most this many bumps.
+ORACLE_POINTS_PER_MIN_WINDOW = 32
+ORACLE_TRUNCATION = 128
 
 
 @dataclass(frozen=True)
@@ -79,22 +87,17 @@ def _node_patch_matrix(
     family: WavePacketFamily, nodes: np.ndarray, spacing: float, centers: np.ndarray,
     ranges: np.ndarray,
 ) -> tuple[scipy.sparse.csr_matrix, np.ndarray]:
-    """Sparse matrix of packet spectra on the shared lattice, one row per
-    node, given the nodes' windows (``_node_windows``).
+    """Real sparse matrix of phase-free packet spectra on the shared
+    lattice, one row per node, given the nodes' windows (``_node_windows``).
 
-    Row k holds the samples of
-    fhat_{t_k}(xi) = t_k^(-1/2) exp(-i*xi*x0) chi_hat((xi - t_k^lam*xi0)/t_k)
-    over the lattice points of its window; columns are the lattice points
-    that the rows' windows span, and the spectrum vanishes at every column
-    outside the row's window.  Returns the matrix and the lattice
-    frequencies of its columns.  Every entry is a function of its node and
-    lattice point alone, so a row range holds the same values as those rows
-    of the whole matrix.  All entries are evaluated in one pass.
-
-    At x0 = 0 the phase is exactly 1 + 0j, so it is left out and the matrix
-    is real: its real parts are the complex matrix's bit for bit, and so are
-    the real parts of its products and grams, whose imaginary parts are
-    sums of signed zeros.
+    Row k holds the samples of t_k^(-1/2) chi_hat((xi - t_k^lam*xi0)/t_k),
+    the packet's spectrum without its phase exp(-i*xi*x0), over the lattice
+    points of its window; columns are the lattice points that the rows'
+    windows span, and the spectrum vanishes at every column outside the
+    row's window.  Returns the matrix and the lattice frequencies of its
+    columns.  Every entry is a function of its node and lattice point alone,
+    so a row range holds the same values as those rows of the whole matrix.
+    All entries are evaluated in one pass.
     """
     ts = np.asarray(nodes, dtype=float)
     k_min = int(ranges[:, 0].min())
@@ -109,10 +112,7 @@ def _node_patch_matrix(
     cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
     scales = np.array([float(t) ** -0.5 for t in ts])
     envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
-    if family.x0 == 0.0:
-        data = scales[rows] * envelope
-    else:
-        data = scales[rows] * np.exp(-1j * xi_cols * family.x0)[cols] * envelope
+    data = scales[rows] * envelope
     mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
     return mat, xi_cols
 
@@ -237,9 +237,9 @@ def build_kernel(
 
     The bands are assembled one row tile at a time.  A tile holds at most
     ``BLOCK_ENTRIES`` patch entries (one row at least); its gram rows
-    G[i, :] = sum_k conj(f_i[k]) w_k f_j[k] are the product of its weighted
-    conjugated patch rows with the patch rows of its neighbours, the rows
-    whose lattice windows meet the tile's columns.  ``csr_matmat`` sums
+    G[i, :] = sum_k f_i[k] w_k f_j[k] (the patch is real) are the product
+    of its weighted patch rows with the patch rows of its neighbours, the
+    rows whose lattice windows meet the tile's columns.  ``csr_matmat`` sums
     each G[i, j] over the same k in the same order whichever rows a tile
     holds, so the bands do not depend on the tiling, and memory grows with
     the tile and the bandwidth, not with the node count.
@@ -257,7 +257,7 @@ def build_kernel(
     centers, ranges = _node_windows(family, nodes, spacing)
     ends = np.cumsum(ranges[:, 1] - ranges[:, 0] + 1)
     n = nodes.size
-    # upper[d, i] = Re G[i, i + d] and lower[d, i] = Re G[i + d, i]
+    # upper[d, i] = G[i, i + d] and lower[d, i] = G[i + d, i]
     upper = np.zeros((1, n))
     lower = np.zeros((1, n))
     r0 = 0
@@ -271,7 +271,7 @@ def build_kernel(
         near, xi_cols = _node_patch_matrix(
             family, nodes[n0:n1], spacing, centers[n0:n1], ranges[n0:n1]
         )
-        tile = near[r0 - n0 : r1 - n0].conj()
+        tile = near[r0 - n0 : r1 - n0]  # a row slice copies, so it scales in place
         tile.data *= (weight(xi_cols) * spacing)[tile.indices]
         gram = (tile @ near.T).tocoo()
         i = gram.row + r0
@@ -281,8 +281,8 @@ def build_kernel(
             grow = ((0, width - upper.shape[0]), (0, 0))
             upper, lower = np.pad(upper, grow), np.pad(lower, grow)
         up, down = j >= i, j <= i
-        upper[j[up] - i[up], i[up]] = gram.data.real[up]
-        lower[i[down] - j[down], j[down]] = gram.data.real[down]
+        upper[j[up] - i[up], i[up]] = gram.data[up]
+        lower[i[down] - j[down], j[down]] = gram.data[down]
         r0 = r1
 
     banded = upper  # (0.5 * (upper + lower))**2 in place
@@ -326,22 +326,19 @@ def sample_paths(kernel: NoiseKernel, seeds) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_coefficients(
-    family: WavePacketFamily, nodes: np.ndarray, beta: float, truncation: int,
-    points_per_min_window: int,
-):
-    spacing = lattice_spacing_for(nodes, points_per_min_window)
+def _oracle_coefficients(family: WavePacketFamily, nodes: np.ndarray, beta: float):
+    spacing = lattice_spacing_for(nodes, ORACLE_POINTS_PER_MIN_WINDOW)
     centers, ranges = _node_windows(family, nodes, spacing)
     span = int(ranges[:, 1].max() - ranges[:, 0].min()) + 1  # the patch matrix's columns
-    if span > truncation:
+    if span > ORACLE_TRUNCATION:
         raise ConfigError(
             "noise_engine: node windows escape the truncated lattice "
-            f"({span} > {truncation} frequencies)"
+            f"({span} > {ORACLE_TRUNCATION} frequencies)"
         )
     mat, xi_g = _node_patch_matrix(family, nodes, spacing, centers, ranges)
     weight = JapaneseBracketWeight(beta)
-    # complex at x0 = 0 too: the products below then round as they always have
-    spectra = mat.toarray().astype(complex, copy=False)
+    # the packet spectra at x0: the phase-free patch times exp(-i*xi*x0)
+    spectra = mat.toarray() * np.exp(-1j * xi_g * family.x0)
 
     # Basis: lattice bumps e_n with hat(e_n)(xi_k) = delta_nk / sqrt(w_n dxi).
     # (f|e_n)_beta = conj(fhat(xi_n)) sqrt(w_n dxi); the first slot carries
@@ -356,10 +353,8 @@ def basis_oracle_batch(
     family: WavePacketFamily,
     nodes,
     beta: float,
-    truncation: int = 128,
     seed: int = 0,
     n_samples: int = 1,
-    points_per_min_window: int = 32,
 ) -> np.ndarray:
     """Error samples from the explicit finite basis expansion.
 
@@ -374,7 +369,7 @@ def basis_oracle_batch(
     matrix product and then with u, so no batch-sized array is formed.
     """
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
-    u, v = _oracle_coefficients(family, nodes, beta, truncation, points_per_min_window)
+    u, v = _oracle_coefficients(family, nodes, beta)
     shape = (u.shape[1], v.shape[1])
     acc = np.zeros((n_samples, nodes.size), dtype=complex)
     rng = rng_for(seed, "basis-oracle")

@@ -30,6 +30,8 @@ from .wave_packets import WavePacketFamily, block_rows
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
 BAND_Z_SLACK = 3.0        # Wilson half-widths a deviation curve may stray
+CONTINUUM_N_U = 48        # continuum quadrature points in u = t over [T, 2T]
+CONTINUUM_N_V = 721       # ... and in v = (s^lam - t^lam)/T over [-4.5, 4.5]
 
 
 # ---------------------------------------------------------------------------
@@ -135,19 +137,16 @@ class VarianceScalingResult:
 
 
 def continuum_average_variance(
-    family: WavePacketFamily,
-    beta: float,
-    m: float,
-    T: float,
-    n_u: int = 48,
-    n_v: int = 721,
+    family: WavePacketFamily, beta: float, m: float, T: float
 ) -> float:
     """Direct quadrature of the averaged-noise variance double integral.
 
     Integrates (1/T^2) * t^(-lam*m) s^(-lam*m) |(f_t|f_s)_beta|^2 over
     [T,2T]^2 in the coordinates u = t, v = (s^lam - t^lam)/T, where the
-    correlation support is an order-one v-interval.
+    correlation support is an order-one v-interval, by the midpoint rule on
+    ``CONTINUUM_N_U`` x ``CONTINUUM_N_V`` points.
     """
+    n_u, n_v = CONTINUUM_N_U, CONTINUUM_N_V
     lam = family.lam
     prof = family.profile
     du = T / n_u

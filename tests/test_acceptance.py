@@ -12,6 +12,7 @@ from symrec.measurement_recovery import (
     plan_orders,
 )
 from symrec.noise_engine import (
+    ORACLE_POINTS_PER_MIN_WINDOW,
     JapaneseBracketWeight,
     basis_oracle_batch,
     build_kernel,
@@ -106,12 +107,12 @@ def test_criterion_2_noise_isometry(profile):
 
 def test_criterion_3_kernel_oracle_equivalence(profile):
     family = WavePacketFamily(0.0, 1.0, 2.0, profile)
-    nodes, beta, coarse = (4.0, 4.02, 4.05), 0.25, 32
-    kernel = build_kernel(family, nodes, beta, points_per_min_window=coarse)
+    nodes, beta = (4.0, 4.02, 4.05), 0.25
+    kernel = build_kernel(
+        family, nodes, beta, points_per_min_window=ORACLE_POINTS_PER_MIN_WINDOW
+    )
     samples = basis_oracle_batch(
-        family, nodes, beta, truncation=128,
-        seed=child_seed(103, "oracle"), n_samples=10_000,
-        points_per_min_window=coarse,
+        family, nodes, beta, seed=child_seed(103, "oracle"), n_samples=10_000
     )
     emp = (samples.conj().T @ samples / samples.shape[0]).real
     rel = float(np.max(np.abs(emp - kernel.dense()) / kernel.dense()))

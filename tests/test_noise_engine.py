@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from symrec import noise_engine, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import adaptive_average_nodes, average_grid
 from symrec.noise_engine import (
+    ORACLE_POINTS_PER_MIN_WINDOW,
     JapaneseBracketWeight,
     NoiseKernel,
     _lattice_index_range,
@@ -229,26 +231,20 @@ class TestBasisOracle:
             base_family, self.NODES, self.BETA, points_per_min_window=32
         )
         samples = basis_oracle_batch(
-            base_family, self.NODES, self.BETA, truncation=128,
-            seed=child_seed(5, "oracle"), n_samples=10_000,
-            points_per_min_window=32,
+            base_family, self.NODES, self.BETA, seed=child_seed(5, "oracle"), n_samples=10_000
         )
         emp = (samples.conj().T @ samples / samples.shape[0]).real
         rel = np.abs(emp - kernel.dense()) / kernel.dense()
         assert rel.max() < 0.05
 
     def test_unit_variance_at_beta_zero(self, base_family):
-        samples = basis_oracle_batch(
-            base_family, [4.0], 0.0, truncation=128, seed=11, n_samples=10_000,
-            points_per_min_window=32,
-        )
+        samples = basis_oracle_batch(base_family, [4.0], 0.0, seed=11, n_samples=10_000)
         assert abs(np.mean(np.abs(samples[:, 0]) ** 2) - 1.0) < 0.05
 
     def test_distribution_matches_kernel_sampler(self, base_family):
         n = 10_000
         oracle = basis_oracle_batch(
-            base_family, self.NODES, self.BETA, truncation=128,
-            seed=child_seed(6, "oracle"), n_samples=n, points_per_min_window=32,
+            base_family, self.NODES, self.BETA, seed=child_seed(6, "oracle"), n_samples=n
         )
         kernel = build_kernel(
             base_family, self.NODES, self.BETA, points_per_min_window=32
@@ -260,10 +256,7 @@ class TestBasisOracle:
 
     def test_window_escape_signals(self, base_family):
         with pytest.raises(ConfigError, match="truncated lattice"):
-            basis_oracle_batch(
-                base_family, [4.0, 16.0], 0.0, truncation=128,
-                points_per_min_window=32,
-            )
+            basis_oracle_batch(base_family, [4.0, 16.0], 0.0)
 
     @pytest.mark.parametrize(
         "n_samples, batch_samples, block_samples",
@@ -276,15 +269,14 @@ class TestBasisOracle:
     ):
         # the draw batches pin which entries of X each sample takes; the
         # sample blocks inside a batch must not move them
-        u, v = _oracle_coefficients(base_family, np.array(self.NODES), beta, 128, 32)
+        u, v = _oracle_coefficients(base_family, np.array(self.NODES), beta)
         entries = u.shape[1] * v.shape[1]
         if batch_samples is not None:
             monkeypatch.setattr(noise_engine, "_ORACLE_DRAW_BATCH", batch_samples * (entries + 1))
         if block_samples is not None:
             monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", block_samples * entries)
         got = basis_oracle_batch(
-            base_family, self.NODES, beta, truncation=128, seed=child_seed(8, "oracle"),
-            n_samples=n_samples, points_per_min_window=32,
+            base_family, self.NODES, beta, seed=child_seed(8, "oracle"), n_samples=n_samples
         )
         want = _one_array_oracle(
             base_family, self.NODES, beta, child_seed(8, "oracle"), n_samples,
@@ -296,47 +288,51 @@ class TestBasisOracle:
         # the noise-stats design: its 1000 samples are one draw batch of
         # 4.9 M entries of X (70 x 70 per sample)
         peak = _traced_peak(
-            basis_oracle_batch, base_family, self.NODES, self.BETA, 128,
-            child_seed(9, "oracle"), 1000, 32,
+            basis_oracle_batch, base_family, self.NODES, self.BETA,
+            child_seed(9, "oracle"), 1000,
         )
         assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("x0", [0.0, -0.5, 0.3])
     def test_coefficients_are_the_per_node_spectra(self, profile, x0):
-        # u and v come from the kernel's patch matrix; node by node they are
-        # the packet spectra on the lattice, reflected for the conjugated slot
+        # u and v come from the kernel's phase-free patch matrix times the
+        # phase exp(-i xi x0); node by node they are the packet spectra on
+        # the lattice, reflected for the conjugated slot
         family = WavePacketFamily(x0=x0, xi0=1.0, lam=2.0, profile=profile)
+        flat = dataclasses.replace(family, x0=0.0)
         nodes = np.array(self.NODES)
-        u, v = _oracle_coefficients(family, nodes, self.BETA, 128, 32)
-        spacing = lattice_spacing_for(nodes, 32)
+        u, v = _oracle_coefficients(family, nodes, self.BETA)
+        spacing = lattice_spacing_for(nodes, ORACLE_POINTS_PER_MIN_WINDOW)
         xi = _patch_matrix(family, nodes, spacing)[1]
         w = JapaneseBracketWeight(self.BETA)
         refl = xi[::-1]
         for k, t in enumerate(nodes):
-            want_u = spectrum(family, t, refl) * np.sqrt(w(-refl) * spacing)
-            want_v = np.conj(spectrum(family, t, xi)) * np.sqrt(w(xi) * spacing)
+            at_x0_u = spectrum(flat, t, refl) * np.exp(-1j * refl * x0)
+            at_x0_v = spectrum(flat, t, xi) * np.exp(-1j * xi * x0)
+            want_u = at_x0_u * np.sqrt(w(-refl) * spacing)
+            want_v = np.conj(at_x0_v) * np.sqrt(w(xi) * spacing)
             assert np.array_equal(u[k], want_u)
             assert np.array_equal(v[k], want_v)
 
     @pytest.mark.parametrize("beta", [0.0, 0.25])
     def test_complex_at_x0_zero_as_with_the_phase(self, base_family, monkeypatch, beta):
-        # the kernel's patch is real at x0 = 0; the oracle keeps complex
-        # coefficients, so they and its samples are those of the phase route
+        # the kernel's patch is real; the oracle's coefficients are complex,
+        # so they and its samples are those of the phase route
         nodes = np.array(self.NODES)
-        args = (base_family, nodes, beta, 128, 32)
+        args = (base_family, nodes, beta)
         u, v = _oracle_coefficients(*args)
-        samples = basis_oracle_batch(*args[:4], 123, 300, 32)
+        samples = basis_oracle_batch(*args, 123, 300)
         monkeypatch.setattr(noise_engine, "_node_patch_matrix", _complex_phase_patch)
         want_u, want_v = _oracle_coefficients(*args)
         assert u.dtype == v.dtype == complex
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
-        assert np.array_equal(samples, basis_oracle_batch(*args[:4], 123, 300, 32))
+        assert np.array_equal(samples, basis_oracle_batch(*args, 123, 300))
 
 
 def _one_array_oracle(family, nodes, beta, seed, n_samples, draw_batch):
     """``basis_oracle_batch`` drawing each batch as one complex array and
     contracting it whole."""
-    u, v = _oracle_coefficients(family, np.asarray(nodes, dtype=float), beta, 128, 32)
+    u, v = _oracle_coefficients(family, np.asarray(nodes, dtype=float), beta)
     out = np.empty((n_samples, len(nodes)), dtype=complex)
     rng = rng_for(seed, "basis-oracle")
     batch = max(1, min(n_samples, draw_batch // (u.shape[1] * v.shape[1] + 1)))
@@ -359,8 +355,8 @@ def _patch_matrix(family, nodes, spacing, patch=_node_patch_matrix):
 
 
 def _complex_phase_patch(family, nodes, spacing, centers, ranges):
-    """``_node_patch_matrix`` with the phase exp(-i xi x0) at every x0, 0
-    included, where it is exactly 1 + 0j and the library leaves it out."""
+    """``_node_patch_matrix`` with the packet phase exp(-i xi x0), which the
+    library leaves out of the patch: the complex spectra of the packets."""
     ts = np.asarray(nodes, dtype=float)
     k_min = int(ranges[:, 0].min())
     xi_cols = (np.arange(k_min, int(ranges[:, 1].max()) + 1) + 0.5) * spacing
@@ -378,17 +374,19 @@ def _complex_phase_patch(family, nodes, spacing, centers, ranges):
 
 
 @pytest.mark.parametrize("x0", [0.0, -0.5, 0.3])
-def test_patch_is_real_at_x0_zero_alone(profile, x0):
+def test_patch_is_real_and_the_same_at_every_x0(profile, x0):
+    # at every x0 the patch is the phase route's at x0 = 0, where the phase
+    # is 1 + 0j
     family = WavePacketFamily(x0=x0, xi0=1.0, lam=2.5, profile=profile)
     nodes = average_grid(16.0, 300)
     spacing = lattice_spacing_for(nodes)
     mat, xi_cols = _patch_matrix(family, nodes, spacing)
-    ref, ref_xi = _patch_matrix(family, nodes, spacing, _complex_phase_patch)
+    flat = dataclasses.replace(family, x0=0.0)
+    ref, ref_xi = _patch_matrix(flat, nodes, spacing, _complex_phase_patch)
     assert np.array_equal(xi_cols, ref_xi)
-    assert mat.dtype == (float if x0 == 0.0 else complex)
+    assert mat.dtype == float
+    assert np.array_equal(mat.indices, ref.indices)
     assert np.array_equal(mat.data, ref.data)
-    if x0 != 0.0:
-        assert np.count_nonzero(ref.data.imag) > ref.nnz // 2
 
 
 def _patch_matrix_per_row(family, nodes, spacing):
@@ -413,11 +411,12 @@ def _patch_matrix_per_row(family, nodes, spacing):
 @pytest.mark.parametrize("lam, x0", [(2.0, 0.3), (2.5, -0.45)])
 @pytest.mark.parametrize("n_nodes", [1, 128, 1500, 9407])
 def test_one_pass_patch_matrix_equals_per_row(profile, lam, x0, n_nodes):
+    # the patch is phase-free: its rows are the spectra of the x0 = 0 packets
     family = WavePacketFamily(x0=x0, xi0=1.0, lam=lam, profile=profile)
     nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
     spacing = lattice_spacing_for(nodes)
     mat, xi_cols = _patch_matrix(family, nodes, spacing)
-    ref, ref_xi = _patch_matrix_per_row(family, nodes, spacing)
+    ref, ref_xi = _patch_matrix_per_row(dataclasses.replace(family, x0=0.0), nodes, spacing)
     np.testing.assert_array_equal(xi_cols, ref_xi)
     assert mat.shape == ref.shape
     np.testing.assert_array_equal(mat.indptr, ref.indptr)
@@ -470,6 +469,29 @@ def test_real_kernel_at_x0_zero_equals_the_complex_phase_route(profile, beta, la
 # The README design: term 2 averaged at N = 48 with lambda = 2.5, 9,407 nodes.
 README_LAM = 2.5
 README_NODES = average_grid(48.0, adaptive_average_nodes(48.0, README_LAM))
+
+
+@pytest.mark.parametrize("x0", [-0.5, 0.3])
+@pytest.mark.parametrize("n_nodes", [1, 640, 1500, 9407])   # single, dense, banded, README
+def test_kernel_is_the_same_at_every_x0(profile, x0, n_nodes):
+    family = WavePacketFamily(x0=x0, xi0=1.0, lam=README_LAM, profile=profile)
+    nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
+    kernel = build_kernel(family, nodes, 0.25)
+    flat = build_kernel(dataclasses.replace(family, x0=0.0), nodes, 0.25)
+    assert np.array_equal(kernel.banded, flat.banded)
+
+
+@pytest.mark.parametrize("x0", [-0.5, 0.3])
+@pytest.mark.parametrize("n_nodes", [1, 640, 1500, 9407])
+def test_kernel_at_x0_is_the_complex_phase_route_to_rounding(profile, x0, n_nodes):
+    # with the phase the gram is complex and rounds differently: the phase
+    # cancels in conj(fhat_t) fhat_s only up to rounding
+    family = WavePacketFamily(x0=x0, xi0=1.0, lam=README_LAM, profile=profile)
+    nodes = np.array([48.0]) if n_nodes == 1 else average_grid(48.0, n_nodes)
+    kernel = build_kernel(family, nodes, 0.25)
+    want = _multiply_route_bands(family, nodes, 0.25, _complex_phase_patch)
+    assert kernel.banded.shape == want.shape
+    assert np.max(np.abs(kernel.banded - want)) <= 1e-13 * np.max(want)
 
 
 @pytest.mark.parametrize("lam", [2.0, 2.5, 3.1])

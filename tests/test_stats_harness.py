@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, linregress
 
+from symrec import stats_harness
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import MeasurementModel, TermDesign
@@ -144,29 +145,41 @@ class TestVarianceScaling:
         tol = 2.0 * (r1.regression.stderr + r2.regression.stderr)
         assert abs(r1.regression.slope - r2.regression.slope) <= tol
 
-    def test_continuum_quadrature_is_stable_under_refinement(self, profile):
+    def test_continuum_quadrature_is_stable_under_refinement(self, profile, monkeypatch):
         family = WavePacketFamily(0.0, 1.0, 2.0, profile)
         coarse = continuum_average_variance(family, 0.0, 0.0, 16.0)
-        fine = continuum_average_variance(family, 0.0, 0.0, 16.0, n_u=96, n_v=1441)
+        fine = _refined_continuum_variance(monkeypatch, family, 0.0, 0.0, 16.0)
         assert coarse == pytest.approx(fine, rel=2e-3)
 
-    def test_weighted_continuum_quadrature_is_stable_under_refinement(self, profile):
+    def test_weighted_continuum_quadrature_is_stable_under_refinement(
+        self, profile, monkeypatch
+    ):
         # beta > 0 takes the branch that multiplies by the Sobolev weight; the
         # kernel's variance of the same average weights its gram independently
         family = WavePacketFamily(0.0, 1.0, 2.0, profile)
         coarse = continuum_average_variance(family, 0.25, 0.0, 16.0)
-        fine = continuum_average_variance(family, 0.25, 0.0, 16.0, n_u=96, n_v=1441)
+        fine = _refined_continuum_variance(monkeypatch, family, 0.25, 0.0, 16.0)
         assert coarse == pytest.approx(fine, rel=2e-3)
         design = TermDesign(family, 0.25, 0.0, "averaged", 16.0)
         assert coarse == pytest.approx(design.kernel.quad_form(design.weights), rel=5e-3)
 
     @pytest.mark.parametrize("T, n_u", [(8.0, 48), (64.0, 45)])  # 45: a short last slab
     @pytest.mark.parametrize("beta", [0.0, 0.25])
-    def test_slabbed_continuum_quadrature_matches_one_slab(self, profile, beta, T, n_u):
+    def test_slabbed_continuum_quadrature_matches_one_slab(
+        self, profile, monkeypatch, beta, T, n_u
+    ):
         family = WavePacketFamily(0.0, 1.0, 2.5, profile)
-        got = continuum_average_variance(family, beta, 0.0, T, n_u=n_u)
+        monkeypatch.setattr(stats_harness, "CONTINUUM_N_U", n_u)
+        got = continuum_average_variance(family, beta, 0.0, T)
         want = _one_slab_continuum_variance(family, beta, 0.0, T, n_u=n_u)
         assert got.hex() == want.hex()
+
+
+def _refined_continuum_variance(monkeypatch, family, beta, m, T):
+    """``continuum_average_variance`` on 96 x 1441 points in (u, v)."""
+    monkeypatch.setattr(stats_harness, "CONTINUUM_N_U", 96)
+    monkeypatch.setattr(stats_harness, "CONTINUUM_N_V", 1441)
+    return continuum_average_variance(family, beta, m, T)
 
 
 def _one_slab_continuum_variance(family, beta, m, T, n_u=48, n_v=721):
