@@ -9,12 +9,6 @@ per usable core; ``worker_limit`` lowers that cap for the maps inside it
 Each contiguous chunk of items runs in a copy of the caller's
 ``contextvars`` context, so numpy's error state reaches the threads, and
 an exception a chunk raises is re-raised in the caller.
-
-``pipelined`` overlaps two stages instead: each item's draws run on a
-worker thread while the caller prepares the next item.  The preparation
-(kernel assembly, factors, quadratures) stays on the caller's thread, where
-its large temporaries reuse one heap; a thread of its own would keep them
-in a malloc arena of its own.
 """
 
 from __future__ import annotations
@@ -61,29 +55,3 @@ def parallel_map(fn: Callable, items: Iterable) -> list:
         ]
     return [out for future in futures for out in future.result()]
 
-
-def pipelined(prepare: Callable, draw: Callable, items: Iterable) -> list:
-    """[draw(prepare(item)) for item in items], each draw on a worker thread
-    while the caller's thread prepares the next item.
-
-    At most one draw is in flight, in a copy of the caller's context.  Under
-    a ``worker_limit`` of 1, or on one usable core, everything runs on the
-    caller's thread.  An exception from a prepare or a draw reaches the
-    caller only once the draw in flight has ended and its result is read.
-    """
-    if min(_limit.get(), USABLE_CORES) <= 1:
-        return [draw(prepare(item)) for item in items]
-    results = []
-    pending = None
-    with ThreadPoolExecutor(1) as pool:
-        for item in items:
-            try:
-                prepared = prepare(item)
-            finally:
-                if pending is not None:
-                    results.append(pending.result())
-            pending = pool.submit(contextvars.copy_context().run, draw, prepared)
-            del prepared  # held by the draw alone, and freed when it ends
-        if pending is not None:
-            results.append(pending.result())
-    return results

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import JapaneseBracketWeight
-from .parallel import pipelined
 from .wave_packets import WavePacketFamily, block_rows
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
@@ -55,8 +54,10 @@ class SlopeRegression:
         y = np.asarray(y, dtype=float)
         if x.size < 4:
             raise ConfigError("stats_harness: slope regression needs >= 4 points")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))) or np.ptp(x) == 0.0:
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise NumericalError("stats_harness: regression data are degenerate")
+        if np.ptp(x) == 0.0:  # x is the configured grid, so the config is at fault
+            raise ConfigError("stats_harness: regression needs a grid of distinct values")
         ssxm, ssxym, _, ssym = (float(v) for v in np.cov(x, y, bias=True).flat)
         slope = ssxym / ssxm
         intercept = float(np.mean(y)) - slope * float(np.mean(x))
@@ -119,6 +120,8 @@ def _check_geometric(grid: np.ndarray, what: str) -> None:
     ratios = grid[1:] / grid[:-1]
     if np.any(np.abs(ratios - ratios[0]) > 1e-3 * ratios[0]):
         raise ConfigError(f"stats_harness: {what} grid must be geometric")
+    if ratios[0] == 1.0:
+        raise ConfigError(f"stats_harness: {what} grid needs a ratio other than 1")
 
 
 # ---------------------------------------------------------------------------
@@ -211,27 +214,25 @@ def variance_scaling_experiment(
             "stats_harness: averaged target needs T > 2^(1/(lambda-1))"
         )
 
-    kernel_var = np.empty(grid.size)
-    continuum = np.empty(grid.size) if target == "averaged" else None
     key = "plain-variance" if target == "plain" else "avg-variance"
 
-    def prepare(gi):
+    def point(gi):
+        """The empirical, kernel and continuum (NaN for plain) variances at
+        grid[gi]; the design, its kernel and factor die with the call.  The
+        draws come after the quadratures, so no factor is alive through them."""
         design = TermDesign(family_template, beta, m, target, grid[gi])
-        kernel_var[gi] = design.kernel.quad_form(design.weights)
-        if continuum is not None:
-            continuum[gi] = continuum_average_variance(family_template, beta, m, grid[gi])
-        # form the factor and u = L^T w here, after the quadratures (a dense
-        # factor alive through them raises peak RSS): the draw only reads them
-        design.noise_weights
-        return gi, design
+        kernel_var = design.kernel.quad_form(design.weights)
+        continuum = (
+            continuum_average_variance(family_template, beta, m, grid[gi])
+            if target == "averaged" else math.nan
+        )
+        noise = design.noise_batch(trials, master_seed, key, gi)
+        return complex_variance(noise), kernel_var, continuum
 
-    def draw(prepared):
-        gi, design = prepared
-        return complex_variance(design.noise_batch(trials, master_seed, key, gi))
-
-    empirical = np.array(pipelined(prepare, draw, range(grid.size)))
+    empirical, kernel_var, continuum = np.array([point(gi) for gi in range(grid.size)]).T
     if target == "plain":
         expected = -2.0 * lam * (m - 2.0 * beta)
+        continuum = None
     else:
         expected = 2.0 * lam * (2.0 * beta - 0.5 - m) + 1.0
 
@@ -306,25 +307,18 @@ def nonconvergence_experiment(
     family = model.family_for(lam)
     truth = model.truth(j).real
 
-    sigma_sq = np.empty(grid.size)
-    det = np.empty(grid.size)
-
-    def prepare(gi):
+    def point(gi):
+        """Wilson center and half-width of P{deviation > threshold}, the noise
+        variance and the noise-free deviation at grid[gi]; the design dies
+        with the call."""
         design = TermDesign(family, model.beta, m_j, mode, grid[gi])
-        base = design.estimate(design.signal(model.observable, j))
-        det[gi] = abs(base - truth)
-        sigma_sq[gi] = design.kernel.quad_form(design.weights)
-        design.noise_weights  # formed after the quadratures, as above
-        return gi, design, base
-
-    def draw(prepared):
-        gi, design, base = prepared
+        offset = design.estimate(design.signal(model.observable, j)) - truth
+        sigma_sq = design.kernel.quad_form(design.weights)
         noise = design.noise_batch(trials, master_seed, "nonconv", gi)
-        deviations = np.abs(base - truth + noise)
-        successes = int(np.count_nonzero(deviations > threshold))
-        return wilson_interval(successes, trials)
+        successes = int(np.count_nonzero(np.abs(offset + noise) > threshold))
+        return (*wilson_interval(successes, trials), sigma_sq, abs(offset))
 
-    p_hat, half = np.array(pipelined(prepare, draw, range(grid.size))).T
+    p_hat, half, sigma_sq, det = np.array([point(gi) for gi in range(grid.size)]).T
     p_closed = np.exp(-(threshold ** 2) / sigma_sq)
     return DeviationCurve(grid, threshold, p_hat, half, sigma_sq, p_closed, det)
 
@@ -391,18 +385,14 @@ def rate_certificate_experiment(
 
     truth = model.truth(j).real
 
-    def prepare(ni):
+    def point(ni):
+        """|estimate - a_j| of every trial at n_grid[ni]; the design dies with
+        the call."""
         design = TermDesign.for_term(model, plan, j, n_grid[ni], noise=noise)
         base = design.estimate(design.signal(model.observable, j))
-        if noise:
-            design.noise_weights  # formed after the quadratures, as above
-        return ni, design, base
-
-    def draw(prepared):
-        ni, design, base = prepared
         return np.abs(base + design.noise_batch(trials, master_seed, f"rate-{ni}") - truth)
 
-    errors = np.array(pipelined(prepare, draw, range(n_grid.size)))
+    errors = np.array([point(ni) for ni in range(n_grid.size)])
 
     certificates = []
     n0_values = {}

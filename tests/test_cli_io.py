@@ -280,6 +280,9 @@ class TestCommands:
             ("nonconvergence", "grid =\nterm = 2", "grid"),
             ("rate", "grid =\ntrials = 200", "grid"),
             ("asymptotics", "grid =", "grid"),
+            # an all-equal grid is a configuration error, found before any kernel
+            ("variance-scaling", "grid = 8, 8, 8, 8\ntrials = 1000", "grid"),
+            ("asymptotics", "grid = 8, 8, 8, 8", "grid"),
             ("nonconvergence", "threshold = 0\nterm = 2", "threshold"),
             ("nonconvergence", "threshold = -1\nterm = 2", "threshold"),
             ("recover", "schema_version = 7", "schema_version"),

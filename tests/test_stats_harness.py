@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp, linregress
@@ -50,7 +52,7 @@ class TestUtilities:
     @pytest.mark.parametrize(
         "x, y",
         [
-            ([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0]),     # no spread in x
+            ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, -np.inf, 4.0]),
             ([1.0, 2.0, 3.0, 4.0], [5.0, 5.0, 5.0, 5.0]),     # no spread in y
             ([1.0, 2.0, 3.0, 4.0], [1.0, np.nan, 3.0, 4.0]),
             ([1.0, 2.0, np.inf, 4.0], [1.0, 2.0, 3.0, 4.0]),
@@ -59,6 +61,11 @@ class TestUtilities:
     def test_slope_regression_degenerate_raises(self, x, y):
         with pytest.raises(NumericalError):
             SlopeRegression.fit(x, y)
+
+    def test_slope_regression_on_a_constant_x_is_a_config_error(self):
+        # x is the configured grid, so no spread in x is the config's fault
+        with pytest.raises(ConfigError, match="grid"):
+            SlopeRegression.fit([2.0, 2.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
 
     def test_slope_regression_needs_four_points(self):
         with pytest.raises(ConfigError, match=">= 4"):
@@ -136,6 +143,15 @@ class TestVarianceScaling:
         family = WavePacketFamily(0.0, 1.0, 2.0, profile)
         with pytest.raises(ConfigError, match="geometric"):
             variance_scaling_experiment(family, 0.0, 1.0, "plain", [8, 16, 30, 64], 1000)
+
+    def test_all_equal_grid_fails_before_any_design(self, profile, monkeypatch):
+        def no_design(*args, **kwargs):
+            raise AssertionError("a design was built for an all-equal grid")
+
+        monkeypatch.setattr(stats_harness, "TermDesign", no_design)
+        family = WavePacketFamily(0.0, 1.0, 2.0, profile)
+        with pytest.raises(ConfigError, match="ratio other than 1"):
+            variance_scaling_experiment(family, 0.0, 1.0, "plain", [8, 8, 8, 8], 1000)
 
     def test_slope_stable_under_trial_doubling(self, profile):
         family = WavePacketFamily(0.0, 1.0, 2.0, profile)
@@ -305,3 +321,39 @@ class TestRateCertificates:
                 two_term_model, two_term_plan, 1, [1e-9], [0.1],
                 [4, 6, 8], trials=200, master_seed=2,
             )
+
+
+class TestOneDesignAtATime:
+    """Each driver releases a grid point's design, with its kernel and factor,
+    before it builds the next: at most one factor is alive at a time."""
+
+    @pytest.fixture()
+    def alive_at_build(self, monkeypatch):
+        """How many earlier designs were alive as each design was built."""
+        designs, alive = [], []
+
+        class Recorded(TermDesign):
+            def __init__(self, *args, **kwargs):
+                alive.append(sum(ref() is not None for ref in designs))
+                super().__init__(*args, **kwargs)
+                designs.append(weakref.ref(self))
+
+        monkeypatch.setattr(stats_harness, "TermDesign", Recorded)
+        return alive
+
+    def test_variance_scaling(self, profile, alive_at_build):
+        family = WavePacketFamily(0.0, 1.0, 2.5, profile)
+        variance_scaling_experiment(family, 0.0, 0.0, "averaged", [4, 8, 16, 32], 1000, 12)
+        assert alive_at_build == [0, 0, 0, 0]
+
+    def test_nonconvergence(self, constant_order_zero, alive_at_build):
+        model = constant_order_zero(0.5)
+        nonconvergence_experiment(model, 1, "plain", 2.0, 6.0, [3, 4, 6, 8], 200, 21)
+        assert alive_at_build == [0, 0, 0, 0]
+
+    def test_rate(self, two_term_model, two_term_plan, alive_at_build):
+        rate_certificate_experiment(
+            two_term_model, two_term_plan, 1, [0.5], [1.0], [4, 8, 16], trials=25,
+            master_seed=3,
+        )
+        assert alive_at_build == [0, 0, 0]
