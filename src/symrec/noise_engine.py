@@ -6,8 +6,11 @@ is |(f_t|f_s)_beta|^2 and whose pseudo-covariance vanishes identically
 (the spectral supports of a packet and a conjugated packet never meet).
 
 Sampling goes through a factor L of the covariance kernel (L L^T = C):
-exact for any finite node set and O(K^2) at worst.  A full path L z is
-formed only where the path itself is the output (``sample_path``,
+exact for any finite node set and O(K^2) at worst.  Up to ``_DENSE_LIMIT``
+nodes L is the symmetric root V sqrt(Lambda) V^T, kept as the eigenvectors
+V and the root eigenvalues sqrt(Lambda) and applied as two products with V,
+never multiplied out; above it L is the banded Cholesky factor.  A full
+path L z is formed only where the path itself is the output (``sample_path``,
 ``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
 u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
 ``rng.complex_normal_dot`` draws from the same stream without forming L z.
@@ -16,7 +19,9 @@ The kernel's bands are built one row tile at a time (``build_kernel``):
 a tile's gram rows need only the patch rows of the tile and of the rows
 whose lattice windows meet it, so the memory of a build scales with the
 tile and the bandwidth, not with the node count, and the bands are the
-same, bit for bit, whatever the tiling.
+same, bit for bit, whatever the tiling.  A tile's spectra are evaluated in
+place in one array of its entries, and its arrays are freed before the next
+tile's are evaluated.
 
 The kernel does not depend on x0: the packet phase exp(-i*xi*x0) cancels
 in conj(fhat_t) fhat_s, so the patch matrix (``_node_patch_matrix``) holds
@@ -107,12 +112,17 @@ def _node_patch_matrix(
     lengths = ranges[:, 1] - ranges[:, 0] + 1
     indptr = np.zeros(ts.size + 1, dtype=np.int64)
     np.cumsum(lengths, out=indptr[1:])
-    rows = np.repeat(np.arange(ts.size, dtype=np.int32), lengths)
     # entry e of row k sits in column (k_lo[k] - k_min) + (e - indptr[k])
-    cols = np.arange(indptr[-1]) + (ranges[:, 0] - k_min - indptr[:-1])[rows]
+    cols = np.arange(indptr[-1], dtype=np.int32)
+    cols += np.repeat((ranges[:, 0] - k_min - indptr[:-1]).astype(np.int32), lengths)
     scales = np.array([float(t) ** -0.5 for t in ts])
-    envelope = family.profile.chi_hat((xi_cols[cols] - centers[rows]) / ts[rows])
-    data = scales[rows] * envelope
+    # (xi - center) / t, chi_hat of it, times the scale: each step in place
+    # on one array of the entries, the per-row factors repeated along the rows
+    data = xi_cols[cols]
+    data -= np.repeat(centers, lengths)
+    data /= np.repeat(ts, lengths)
+    data = family.profile.chi_hat(data)
+    data *= np.repeat(scales, lengths)
     mat = scipy.sparse.csr_matrix((data, cols, indptr), shape=(ts.size, xi_cols.size))
     return mat, xi_cols
 
@@ -171,12 +181,23 @@ class NoiseKernel:
     # -- factorization ---------------------------------------------------
 
     def factor(self):
-        """A real factor L with L L^T = C, cached after the first call."""
+        """A real factor L with L L^T = C, cached after the first call.
+
+        Up to ``_DENSE_LIMIT`` nodes L is the symmetric root V sqrt(Lambda) V^T,
+        cached as ("dense", (V, sqrt(Lambda))) and never multiplied out: the
+        eigenvectors from LAPACK's MRRR driver, which overwrites the dense
+        covariance, and the roots of the eigenvalues clipped at 0.  Above it,
+        ("banded", the lower banded Cholesky factor).
+        """
         if self._factor is not None:
             return self._factor
         if self.size <= _DENSE_LIMIT:
-            cov = self.dense()
-            eigvals, eigvecs = np.linalg.eigh(cov)
+            # the transpose of the symmetric C is a Fortran-ordered view that
+            # LAPACK overwrites without a copy; build_kernel's bands are
+            # finite, so LAPACK needs no finiteness check
+            eigvals, eigvecs = scipy.linalg.eigh(
+                self.dense().T, overwrite_a=True, check_finite=False, driver="evr"
+            )
             floor = -_PSD_TOL * max(self.trace, 1e-300)
             if eigvals.min() < floor:
                 raise NumericalError(
@@ -184,9 +205,7 @@ class NoiseKernel:
                     f"(min eigenvalue {eigvals.min():.3e} < {floor:.3e}); "
                     "quadrature grids are inconsistent"
                 )
-            clipped = np.clip(eigvals, 0.0, None)
-            root = (eigvecs * np.sqrt(clipped)) @ eigvecs.T
-            self._factor = ("dense", root)
+            self._factor = ("dense", (eigvecs, np.sqrt(np.clip(eigvals, 0.0, None))))
             return self._factor
 
         scale = self.trace
@@ -205,10 +224,12 @@ class NoiseKernel:
         )
 
     def apply_factor(self, z: np.ndarray) -> np.ndarray:
-        """L @ z for a batch of draws, one draw per row."""
+        """L @ z for a batch of draws, one draw per row; for the dense factor
+        ((z V) sqrt(Lambda)) V^T, with no n x n product formed."""
         kind, mat = self.factor()
         if kind == "dense":
-            return z @ mat.T
+            vecs, roots = mat
+            return ((z @ vecs) * roots) @ vecs.T
         out = np.zeros_like(z)
         n = self.size
         for d in range(min(mat.shape[0], n)):
@@ -216,10 +237,12 @@ class NoiseKernel:
         return out
 
     def apply_factor_transpose(self, w: np.ndarray) -> np.ndarray:
-        """L^T @ w for one real vector, so that w @ (L z) = (L^T w) @ z."""
+        """L^T @ w for one real vector, so that w @ (L z) = (L^T w) @ z; for
+        the dense factor V (sqrt(Lambda) (V^T w))."""
         kind, mat = self.factor()
         if kind == "dense":
-            return mat.T @ w
+            vecs, roots = mat
+            return vecs @ (roots * (vecs.T @ w))
         n = self.size
         out = np.zeros(n)
         for d in range(min(mat.shape[0], n)):
@@ -247,6 +270,10 @@ def build_kernel(
     nodes = np.atleast_1d(np.asarray(nodes, dtype=float))
     if nodes.size < 1:
         raise ConfigError("noise_engine: need at least one node")
+    if not np.all(np.isfinite(nodes)):
+        # the checks below pass NaN, as every comparison with it is false,
+        # and a lone inf
+        raise ConfigError("noise_engine: nodes must be finite")
     if np.any(np.diff(nodes) <= 0.0):
         raise ConfigError("noise_engine: nodes must be strictly increasing")
     if nodes[0] < 1.0:
@@ -257,9 +284,9 @@ def build_kernel(
     centers, ranges = _node_windows(family, nodes, spacing)
     ends = np.cumsum(ranges[:, 1] - ranges[:, 0] + 1)
     n = nodes.size
-    # upper[d, i] = G[i, i + d] and lower[d, i] = G[i + d, i]
-    upper = np.zeros((1, n))
-    lower = np.zeros((1, n))
+    # sums[d, i] = G[i, i + d] + G[i + d, i]: each term is added to a zero
+    # once, so the sum is the same whichever tile adds first
+    sums = np.zeros((1, n))
     r0 = 0
     while r0 < n:
         start = ends[r0 - 1] if r0 else 0
@@ -277,23 +304,25 @@ def build_kernel(
         i = gram.row + r0
         j = gram.col + n0
         width = int(np.abs(j - i).max(initial=0)) + 1
-        if width > upper.shape[0]:
-            grow = ((0, width - upper.shape[0]), (0, 0))
-            upper, lower = np.pad(upper, grow), np.pad(lower, grow)
+        if width > sums.shape[0]:
+            sums = np.pad(sums, ((0, width - sums.shape[0]), (0, 0)))
+        # a tile's gram holds each (i, j) once, so no index repeats in a sum
         up, down = j >= i, j <= i
-        upper[j[up] - i[up], i[up]] = gram.data[up]
-        lower[i[down] - j[down], j[down]] = gram.data[down]
+        sums[j[up] - i[up], i[up]] += gram.data[up]
+        sums[i[down] - j[down], j[down]] += gram.data[down]
+        # free this tile's arrays before the next tile's patch is evaluated
+        del near, tile, gram, i, j, up, down
         r0 = r1
 
-    banded = upper  # (0.5 * (upper + lower))**2 in place
-    banded += lower
-    del lower
+    banded = sums  # (0.5 * sums)**2 in place
     banded *= 0.5
     banded *= banded
     filled = np.flatnonzero(banded.any(axis=1))
     banded = banded[: int(filled[-1]) + 1 if filled.size else 1]
 
     diag = banded[0]
+    if not np.all(np.isfinite(banded)):
+        raise NumericalError("noise_engine: kernel entries must be finite")
     if np.any(diag <= 0.0):
         raise NumericalError("noise_engine: kernel diagonal must be positive")
     if banded.min() < -_PSD_TOL * float(np.sum(diag)):

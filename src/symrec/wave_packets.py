@@ -43,11 +43,11 @@ def bridge_sigma(r: np.ndarray, sharpness: float = 1.0) -> np.ndarray:
     a = exp(-s/u) and b = exp(-s/(1 - u)).  There 0 < u < 1 exactly, since
     1 - r and 1 - u are exact (Sterbenz), so neither exponent divides by 0.
     """
-    r = np.abs(np.asarray(r, dtype=float))
-    out = np.zeros_like(r)
-    out[r <= 0.5] = 1.0
-    mid = (r > 0.5) & (r < 1.0)
-    u = (1.0 - r[mid]) / 0.5
+    out = np.array(r, dtype=float)  # |r|, then sigma, in one array
+    np.abs(out, out=out)
+    mid = (out > 0.5) & (out < 1.0)
+    u = (1.0 - out[mid]) / 0.5
+    out[...] = out <= 0.5
     a = np.exp(-sharpness / u)
     out[mid] = a / (a + np.exp(-sharpness / (1.0 - u)))
     return out
@@ -86,7 +86,9 @@ class PacketProfile:
     # -- transform side -------------------------------------------------
 
     def chi_hat(self, xi: np.ndarray) -> np.ndarray:
-        return self.b * bridge_sigma(xi, self.sharpness)
+        out = bridge_sigma(xi, self.sharpness)
+        out *= self.b
+        return out
 
     # -- physical side ---------------------------------------------------
 

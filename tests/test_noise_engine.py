@@ -181,6 +181,33 @@ def test_plain_variance_slope_from_kernel(base_family):
     assert abs(slope - (-2 * lam * (m - 2 * beta))) < 0.1
 
 
+def _multiplied_out_root(kernel):
+    """The dense factor as it was formed before it was kept as eigenvectors
+    and root eigenvalues: numpy's eigh, then (V sqrt(Lambda)) V^T."""
+    eigvals, eigvecs = np.linalg.eigh(kernel.dense())
+    return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
+
+
+# dense designs of the certify workload: rate at N = 4 and variance-scaling
+# at T = 8 (lambda 2.5), nonconvergence at T = 64 (lambda 2)
+@pytest.mark.parametrize("N, lam, n_nodes", [(4.0, 2.5, 227), (8.0, 2.5, 640), (64.0, 2.0, 1024)])
+def test_dense_factor_is_the_multiplied_out_root(profile, rng, N, lam, n_nodes):
+    family = WavePacketFamily(x0=0.0, xi0=1.0, lam=lam, profile=profile)
+    kernel = build_kernel(family, average_grid(N, adaptive_average_nodes(N, lam)), 0.0)
+    n = kernel.size
+    assert n == n_nodes
+    kind, parts = kernel.factor()
+    assert kind == "dense"
+    assert [a.shape for a in parts] == [(n, n), (n,)]   # one n x n array
+    w = rng.uniform(0.5, 1.5, n)
+    want = _multiplied_out_root(kernel).T @ w
+    got = kernel.apply_factor_transpose(w)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    L = kernel.apply_factor(np.eye(n)).T
+    cov = kernel.dense()
+    assert np.max(np.abs(L @ L.T - cov)) <= 1e-13 * np.max(cov)
+
+
 @pytest.mark.parametrize("N, n_nodes, kind", [(12.5, 200, "dense"), (94.0, 1500, "banded")])
 def test_factor_transpose_and_functional(base_family, rng, N, n_nodes, kind):
     # L^T w against w @ L, with L read off apply_factor on an identity batch;
@@ -348,6 +375,26 @@ def _one_array_oracle(family, nodes, beta, seed, n_samples, draw_batch):
 def test_nodes_must_increase(base_family):
     with pytest.raises(ConfigError, match="increasing"):
         build_kernel(base_family, [8.0, 4.0], 0.0)
+
+
+@pytest.mark.parametrize("nodes", [[np.nan], [2.0, np.nan], [np.inf]], ids=["nan", "2-nan", "inf"])
+def test_non_finite_nodes_rejected_before_any_lattice_work(base_family, monkeypatch, nodes):
+    # every comparison with NaN is false, so the order and t >= 1 checks
+    # alone would let these through to NaN bands
+    def no_lattice(*args):
+        raise AssertionError("lattice work on non-finite nodes")
+
+    monkeypatch.setattr(noise_engine, "lattice_spacing_for", no_lattice)
+    monkeypatch.setattr(noise_engine, "_node_windows", no_lattice)
+    with pytest.raises(ConfigError, match="finite"):
+        build_kernel(base_family, nodes, 0.0)
+
+
+def test_overflowing_weight_is_a_numerical_error(base_family):
+    # outside the CLI's error state the weight overflows to inf and the
+    # bands to NaN; the dense factor's LAPACK call does not check for them
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="finite"):
+        build_kernel(base_family, [4.0, 4.02], 1e300)
 
 
 def _patch_matrix(family, nodes, spacing, patch=_node_patch_matrix):
@@ -546,6 +593,25 @@ def _traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_kernel_build_peak_is_six_blocks_plus_the_bands(profile):
+    # certify's largest build.  One tile's working set fits six float64
+    # blocks: its patch (the tile and its neighbours), the chi_hat
+    # temporaries of that patch and the tile's gram.  What grows with the
+    # node count fits two band arrays: the sums that the tiles add to, the
+    # node windows, and, after the last tile, the clipped bands returned
+    family = WavePacketFamily(x0=0.0, xi0=1.0, lam=README_LAM, profile=profile)
+    nodes = average_grid(64.0, adaptive_average_nodes(64.0, README_LAM))
+    assert nodes.size == 14_482
+    build_kernel(family, nodes[:8], 0.0)
+    tracemalloc.start()
+    try:
+        kernel = build_kernel(family, nodes, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * BLOCK_ENTRIES + 2 * kernel.banded.nbytes
 
 
 def test_kernel_memory_follows_the_tile_not_the_node_count(profile):

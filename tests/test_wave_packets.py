@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson
 
+from symrec import wave_packets
 from symrec.noise_engine import JapaneseBracketWeight
 from symrec.wave_packets import (
     _CHI_SCAN_MAX,
@@ -53,6 +54,34 @@ def test_bridge_equals_the_guarded_formula(sharpness):
         got = bridge_sigma(r, sharpness)
     assert np.array_equal(got, _guarded_bridge_sigma(r, sharpness))
     assert np.all(got[np.abs(r) <= 0.5] == 1.0) and np.all(got[np.abs(r) >= 1.0] == 0.0)
+
+
+def _two_array_chi_hat(xi, b, sharpness):
+    """chi_hat as b * bridge_sigma with |r| and sigma in two arrays, as
+    both were written before sigma was evaluated in the array of |r|."""
+    r = np.abs(np.asarray(xi, dtype=float))
+    out = np.zeros_like(r)
+    out[r <= 0.5] = 1.0
+    mid = (r > 0.5) & (r < 1.0)
+    u = (1.0 - r[mid]) / 0.5
+    a = np.exp(-sharpness / u)
+    out[mid] = a / (a + np.exp(-sharpness / (1.0 - u)))
+    return b * out
+
+
+def test_chi_hat_is_bridge_sigma_bit_for_bit(profile, monkeypatch):
+    edges = np.array([0.0, 0.5, -0.5, 1.0, -1.0])
+    xi = np.concatenate(
+        [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+         np.linspace(-1.5, 1.5, 300_001)]
+    )
+    got = profile.chi_hat(xi)
+    want = _two_array_chi_hat(xi, profile.b, profile.sharpness)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert profile.chi_hat(0.75) == _two_array_chi_hat(0.75, profile.b, profile.sharpness)
+    # one body: chi_hat evaluates the bridge through bridge_sigma
+    monkeypatch.setattr(wave_packets, "bridge_sigma", lambda r, s: np.full(np.shape(r), 2.0))
+    assert np.all(profile.chi_hat(xi) == 2.0 * profile.b)
 
 
 def test_eta_grid_is_antisymmetric_bit_for_bit(profile):
