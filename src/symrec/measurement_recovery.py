@@ -44,7 +44,7 @@ import numpy as np
 from . import splines
 from .errors import ConfigError, NumericalError
 from .noise_engine import build_kernel, sample_path
-from .parallel import USABLE_CORES, parallel_map
+from .parallel import parallel_map
 from .rng import child_seed, child_seeds, complex_normal_dot, keyed_streams, stream_keys
 from .symbols import (
     HomogeneousTerm, SymbolExpansion, packet_quadratic_form, spectral_transform,
@@ -266,18 +266,17 @@ class TermDesign:
         """u @ z for each Philox key in ``keys`` (shape (..., 2), as
         ``stream_keys`` returns them), z the draw of that stream's
         ``noise_path``; shape ``keys.shape[:-1]``, zeros when the noise is
-        off.  The keys are drawn in one contiguous chunk per usable core, on
-        worker threads, each chunk on one generator switched from key to key,
-        so the values do not depend on the thread count."""
+        off.  ``parallel_map`` draws the keys in one contiguous chunk per
+        thread, each chunk on one generator switched from key to key; each
+        key is its own stream, so the values do not depend on the split."""
         keys = np.asarray(keys)
         if self.kernel is None:
             return np.zeros(keys.shape[:-1], dtype=complex)
         u = self.noise_weights
-        chunks = parallel_map(
+        draws = parallel_map(
             lambda chunk: [complex_normal_dot(rng, u) for rng in keyed_streams(chunk)],
-            np.array_split(keys.reshape(-1, 2), USABLE_CORES),
+            keys.reshape(-1, 2),
         )
-        draws = [draw for chunk in chunks for draw in chunk]
         return np.array(draws, dtype=complex).reshape(keys.shape[:-1])
 
     def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:

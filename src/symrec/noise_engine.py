@@ -13,7 +13,9 @@ never multiplied out; above it L is the banded Cholesky factor.  A full
 path L z is formed only where the path itself is the output (``sample_path``,
 ``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
 u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
-``rng.complex_normal_dot`` draws from the same stream without forming L z.
+``TermDesign.keyed_noise`` draws for a batch of stream keys with
+``rng.complex_normal_dot``, without forming L z, the keys cut into one
+contiguous chunk per thread by ``parallel.parallel_map``.
 
 The kernel's bands are built one row tile at a time (``build_kernel``):
 a tile's gram rows need only the patch rows of the tile and of the rows
@@ -138,7 +140,6 @@ class NoiseKernel:
     """
 
     nodes: np.ndarray
-    beta: float
     banded: np.ndarray
     _factor: tuple = field(default=None, repr=False)
 
@@ -329,7 +330,7 @@ def build_kernel(
         raise NumericalError(
             f"noise_engine: kernel entries must be nonnegative (found {banded.min():.3e})"
         )
-    return NoiseKernel(nodes=nodes, beta=float(beta), banded=np.clip(banded, 0.0, None))
+    return NoiseKernel(nodes=nodes, banded=np.clip(banded, 0.0, None))
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:

@@ -5,10 +5,12 @@ stable path of purpose tags and integer indices.  Streams are therefore
 independent of execution order and worker count, and a (trial, purpose)
 pair always maps to the same Philox counter stream.
 
-A Philox stream is its 128-bit key alone (Salmon et al., SC'11), so many
-streams need no generator each: ``stream_keys`` derives the keys of a
-whole batch in one vectorised call, and ``keyed_streams`` switches one
-generator from key to key.
+A Philox stream is its 128-bit key alone (Salmon et al., SC'11).  The key
+is numpy's ``SeedSequence`` hash of the path, ported to uint32 arrays:
+``stream_keys`` derives the keys of a whole batch in one vectorised call,
+and ``rng_for`` and ``child_seed`` are its one-stream cases.  Many streams
+need no generator each: ``keyed_streams`` switches one generator from key
+to key.
 """
 
 from __future__ import annotations
@@ -30,28 +32,14 @@ _MIX_MULT_R = 0x4973F715
 _POOL_WORDS = 4
 
 
-def _tag(part: int | str) -> int:
-    if isinstance(part, str):
-        return zlib.crc32(part.encode("utf-8"))
-    return int(part) & _MASK32
-
-
-def seed_sequence(master_seed: int, *path: int | str) -> np.random.SeedSequence:
-    return np.random.SeedSequence(
-        entropy=int(master_seed) & _MASK64,
-        spawn_key=tuple(_tag(p) for p in path),
-    )
-
-
 def rng_for(master_seed: int, *path: int | str) -> np.random.Generator:
     """Generator for the stream identified by (master_seed, *path)."""
-    return np.random.Generator(np.random.Philox(seed_sequence(master_seed, *path)))
+    return np.random.Generator(np.random.Philox(key=stream_keys(master_seed, *path)))
 
 
 def child_seed(master_seed: int, *path: int | str) -> int:
     """A 64-bit seed derived deterministically from the stream key."""
-    state = seed_sequence(master_seed, *path).generate_state(1, np.uint64)
-    return int(state[0])
+    return int(child_seeds(master_seed, *path))
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +58,12 @@ def _uint64(values) -> np.ndarray:
 
 
 def _path_word(part) -> np.ndarray | int:
-    """``_tag`` of a path entry, on an index array element by element."""
-    if isinstance(part, (str, int)):
-        return _tag(part)
+    """The hash word of a path entry: a string's CRC-32, an integer modulo
+    2^32, and an index array element by element."""
+    if isinstance(part, str):
+        return zlib.crc32(part.encode("utf-8"))
+    if isinstance(part, int):
+        return part & _MASK32
     return (_uint64(part) & _MASK32).astype(np.uint32)
 
 
@@ -81,10 +72,10 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> 16)
 
 
-def _state_words(master_seed, path: tuple, n_words: int) -> tuple[list, tuple]:
-    """``seed_sequence(master_seed, *path).generate_state(n_words)`` on uint32
-    arrays, broadcast over a master array and index arrays in the path:
-    the words, flat, and the broadcast shape.
+def _state_words(master_seed, path: tuple) -> tuple[list, tuple]:
+    """``SeedSequence(entropy=master_seed mod 2^64, spawn_key=path words)
+    .generate_state(4)`` on uint32 arrays, broadcast over a master array and
+    index arrays in the path: the words, flat, and the broadcast shape.
 
     The path is not empty, so the master's words are padded to the pool
     size, as ``SeedSequence`` pads them whenever it has a spawn key; the
@@ -123,8 +114,8 @@ def _state_words(master_seed, path: tuple, n_words: int) -> tuple[list, tuple]:
 
     out = []
     mult = _INIT_B
-    for i in range(n_words):
-        value = pool[i % _POOL_WORDS] ^ np.uint32(mult)
+    for word in pool:
+        value = word ^ np.uint32(mult)
         mult = (mult * _MULT_B) & _MASK32
         value = value * np.uint32(mult)
         out.append(value ^ (value >> 16))
@@ -136,11 +127,11 @@ def _uint64_words(low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(master_seed, *path) -> np.ndarray:
-    """Philox keys of the streams ``rng_for(master_seed, *path)``, shape
-    ``(..., 2)`` uint64: the master and any path entry may be index arrays,
-    broadcast together, and each key is the one ``rng_for`` seeds for that
-    element.  The path must not be empty."""
-    w, shape = _state_words(master_seed, path, 4)
+    """Philox keys of the streams (master_seed, *path), shape ``(..., 2)``
+    uint64: the master and any path entry may be index arrays, broadcast
+    together, and each key is the two uint64 words ``SeedSequence``'s
+    ``generate_state`` gives for that element.  The path must not be empty."""
+    w, shape = _state_words(master_seed, path)
     keys = np.stack([_uint64_words(w[0], w[1]), _uint64_words(w[2], w[3])], axis=-1)
     return keys.reshape(shape + (2,))
 
@@ -149,8 +140,7 @@ def child_seeds(master_seed, *path) -> np.ndarray:
     """``child_seed`` for each element of broadcast index arrays, as uint64.
     It is the first word of the Philox key (``generate_state`` yields the
     same leading words whatever their count)."""
-    w, shape = _state_words(master_seed, path, 2)
-    return _uint64_words(w[0], w[1]).reshape(shape)
+    return stream_keys(master_seed, *path)[..., 0]
 
 
 def keyed_streams(keys) -> Iterator[np.random.Generator]:

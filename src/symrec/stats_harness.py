@@ -124,6 +124,12 @@ def _check_geometric(grid: np.ndarray, what: str) -> None:
         raise ConfigError(f"stats_harness: {what} grid needs a ratio other than 1")
 
 
+def _check_increasing(grid: np.ndarray, what: str) -> None:
+    """A grid read as a scale sequence (its last point the largest scale)."""
+    if np.any(np.diff(grid) <= 0.0):
+        raise ConfigError(f"stats_harness: {what} grid must be strictly increasing")
+
+
 # ---------------------------------------------------------------------------
 # Variance scaling
 # ---------------------------------------------------------------------------
@@ -288,6 +294,7 @@ def nonconvergence_experiment(
     variance is returned alongside the empirical curve.
     """
     grid = np.asarray(grid, dtype=float)
+    _check_increasing(grid, "non-convergence")
     if not 1 <= j <= len(model.observable.terms):
         raise ConfigError(f"stats_harness: term {j} is outside the symbol")
     m_j = model.observable.terms[j - 1].order
@@ -374,6 +381,7 @@ def rate_certificate_experiment(
     if not 1 <= j <= plan.k_beta:
         raise ConfigError(f"stats_harness: term {j} is outside 1..k_beta = {plan.k_beta}")
     n_grid = np.asarray(n_grid, dtype=float)
+    _check_increasing(n_grid, "rate")
     eps_list = tuple(float(e) for e in eps_list)
     delta_list = tuple(float(d) for d in delta_list)
     min_delta = min(delta_list)

@@ -283,6 +283,11 @@ class TestCommands:
             # an all-equal grid is a configuration error, found before any kernel
             ("variance-scaling", "grid = 8, 8, 8, 8\ntrials = 1000", "grid"),
             ("asymptotics", "grid = 8, 8, 8, 8", "grid"),
+            # rate and nonconvergence read the grid in scale order
+            ("rate", "grid = 12, 8, 6, 4\ntrials = 200", "grid"),
+            ("rate", "grid = 4, 8, 8, 12\ntrials = 200", "grid"),
+            ("nonconvergence", "grid = 64, 32, 16, 8\nterm = 2", "grid"),
+            ("nonconvergence", "grid = 8, 32, 16, 64\nterm = 2", "grid"),
             ("nonconvergence", "threshold = 0\nterm = 2", "threshold"),
             ("nonconvergence", "threshold = -1\nterm = 2", "threshold"),
             ("recover", "schema_version = 7", "schema_version"),

@@ -110,7 +110,7 @@ def test_pooled_functionals_equal_serial_above_blas_threading_size(rng):
 
     serial = [draw(trial) for trial in range(40)]
     with worker_limit(2):
-        pooled = parallel_map(draw, range(40))
+        pooled = parallel_map(lambda chunk: [draw(trial) for trial in chunk], range(40))
     assert np.array_equal(pooled, serial)
     want = u @ standard_complex_normal(rng_for(11, 0, "dot"), u.size)
     assert abs(serial[0] - want) <= 1e-12 * abs(want)
@@ -242,7 +242,6 @@ def test_quad_form_matches_dense(base_family, rng, N, n_nodes):
 def test_nonpsd_kernel_rejected():
     bad = NoiseKernel(
         nodes=np.array([1.0, 2.0]),
-        beta=0.0,
         banded=np.array([[1.0, 1.0], [2.0, 0.0]]),
     )
     with pytest.raises(NumericalError, match="PSD"):

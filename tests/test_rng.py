@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,26 @@ from symrec.rng import (
 EDGE_MASTERS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
 
 
+def _seed_sequence(master, *path):
+    """numpy's own hash of (master, *path), the reference the port must match:
+    a string tag is its CRC-32, an integer tag taken modulo 2^32."""
+    words = tuple(
+        zlib.crc32(p.encode("utf-8")) if isinstance(p, str) else int(p) & 0xFFFFFFFF
+        for p in path
+    )
+    return np.random.SeedSequence(entropy=int(master) & (2**64 - 1), spawn_key=words)
+
+
 def _philox_key(master, *path):
-    return rng_for(master, *path).bit_generator.state["state"]["key"]
+    return np.random.Philox(_seed_sequence(master, *path)).state["state"]["key"]
+
+
+def _reference_rng(master, *path):
+    return np.random.Generator(np.random.Philox(_seed_sequence(master, *path)))
+
+
+def _child_seed(master, *path):
+    return int(_seed_sequence(master, *path).generate_state(1, np.uint64)[0])
 
 
 def _masters():
@@ -44,15 +64,20 @@ def test_batch_keys_equal_the_scalar_streams_for_a_master_array(path):
     assert seeds.shape == (len(masters),) and seeds.dtype == np.uint64
     for m, key, seed in zip(masters, keys, seeds):
         assert np.array_equal(key, _philox_key(m, *path))
-        assert int(seed) == child_seed(m, *path)
+        assert int(seed) == child_seed(m, *path) == _child_seed(m, *path)
+        assert np.array_equal(rng_for(m, *path).bit_generator.state["state"]["key"], key)
 
 
-@pytest.mark.parametrize("master", EDGE_MASTERS + [-1, -(2**70) + 3])
+@pytest.mark.parametrize("master", EDGE_MASTERS + [-1, -(2**70) + 3, -7, 2**63 + 5, 2**70 + 1])
 def test_scalar_masters_give_one_key(master):
     key = stream_keys(master, "noise-path")
     assert key.shape == (2,)
     assert np.array_equal(key, _philox_key(master, "noise-path"))
+    rng = rng_for(master, "noise-path")
+    assert np.array_equal(rng.bit_generator.state["state"]["key"], key)
+    assert rng.bit_generator.state["state"]["counter"].tolist() == [0, 0, 0, 0]
     assert int(child_seeds(master, 4, "iso")) == child_seed(master, 4, "iso")
+    assert child_seed(master, 4, "iso") == _child_seed(master, 4, "iso")
 
 
 @pytest.mark.parametrize(
@@ -71,7 +96,7 @@ def test_an_index_array_at_each_path_position(length, position):
             scalar = list(template)
             scalar[position] = value
             assert np.array_equal(keys[i], _philox_key(master, *scalar))
-            assert int(seeds[i]) == child_seed(master, *scalar)
+            assert int(seeds[i]) == child_seed(master, *scalar) == _child_seed(master, *scalar)
 
 
 def test_masters_and_indices_broadcast_together():
@@ -95,7 +120,7 @@ def test_switched_generator_draws_the_rng_for_normals():
     keys = stream_keys(42, trials, *path)
     streams = keyed_streams(keys)
     for trial, rng in zip(trials.tolist(), streams):
-        want = rng_for(42, trial, *path).standard_normal(7)
+        want = _reference_rng(42, trial, *path).standard_normal(7)
         assert np.array_equal(rng.standard_normal(7), want)
         # leave the Philox buffer part-used, and a 32-bit half word cached,
         # before the next key
@@ -108,6 +133,6 @@ def test_switched_generator_draws_the_rng_for_normals():
 def test_switched_generator_draws_the_rng_for_complex_normals():
     seeds = child_seeds(7, np.arange(12), "ks")
     for seed, rng in zip(seeds.tolist(), keyed_streams(stream_keys(seeds, "noise-path"))):
-        want = standard_complex_normal(rng_for(seed, "noise-path"), 33)
+        want = standard_complex_normal(_reference_rng(seed, "noise-path"), 33)
         assert np.array_equal(standard_complex_normal(rng, 33), want)
         rng.standard_normal(5)
