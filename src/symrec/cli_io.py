@@ -31,7 +31,9 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, NumericalError
 from .expressions import ExpressionError, parse_coeff
-from .measurement_recovery import MeasurementModel, RecoverySession, plan_orders
+from .measurement_recovery import (
+    MAX_AVERAGE_NODES, MeasurementModel, RecoverySession, plan_orders,
+)
 from .noise_engine import (
     ORACLE_POINTS_PER_MIN_WINDOW, basis_oracle_batch, build_kernel, sample_paths,
 )
@@ -128,16 +130,24 @@ def _each(check):
 
 
 # One row per key with a domain: (key, check, requirement).  Packet scales
-# are >= 1, since the packets and the symbols' homogeneity need t >= 1.
+# are >= 1, since the packets and the symbols' homogeneity need t >= 1.  The
+# profile's bridge a / (a + b) has a + b >= exp(-2 * profile_sharpness), so
+# it is 0/0 only where that underflows, from about 372.5667 on.
 _DOMAINS = (
     ("schema_version", lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
     ("x0_grid", bool, "non-empty"),
     ("xi0", lambda v: v in (-1.0, 1.0), "1 or -1"),
-    ("profile_sharpness", lambda v: v > 0.0, "> 0"),
+    (
+        "profile_sharpness", lambda v: v > 0.0 and math.exp(-2.0 * v) > 0.0,
+        "> 0 and small enough that exp(-2 * profile_sharpness) > 0 (below 372.5667)",
+    ),
     ("subtract", lambda v: v in ("oracle", "self", "both"), "oracle, self or both"),
     ("grid", _each(lambda t: t >= 1.0), "non-empty with each value >= 1"),
     ("scale", lambda v: v >= 1.0, ">= 1"),
-    ("average_nodes", lambda v: v == 0 or v >= 2, "0 (automatic) or >= 2 nodes"),
+    (
+        "average_nodes", lambda v: v == 0 or 2 <= v <= MAX_AVERAGE_NODES,
+        f"0 (automatic) or >= 2 nodes and at most {MAX_AVERAGE_NODES}",
+    ),
     ("trials", lambda v: v >= 1, ">= 1"),
     ("workers", lambda v: v >= 1, ">= 1"),
     ("term", lambda v: v >= 1, ">= 1"),
@@ -375,10 +385,7 @@ def _build_plan(cfg: ExperimentConfig):
 
 
 def _lambda_for(cfg: ExperimentConfig, j: int) -> float:
-    for idx, lam in cfg.lambda_overrides:
-        if idx == j:
-            return lam
-    return DEFAULT_LAMBDA
+    return dict(cfg.lambda_overrides).get(j, DEFAULT_LAMBDA)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,6 @@ class OrderPlan:
     """
 
     m_list: tuple
-    beta: float
     j_beta: int
     k_beta: int
     lambdas: tuple
@@ -151,7 +150,7 @@ def plan_orders(
         lambdas.append(lam)
         modes.append("plain" if j <= j_beta else "averaged")
 
-    return OrderPlan(tuple(m), float(beta), j_beta, k_beta, tuple(lambdas), tuple(modes))
+    return OrderPlan(tuple(m), j_beta, k_beta, tuple(lambdas), tuple(modes))
 
 
 def adaptive_average_nodes(N: float, lam: float) -> int:
@@ -174,11 +173,12 @@ class TermDesign:
 
     Plain mode measures at the single node N, averaged mode at the midpoint
     grid on [N, 2N]; the weights N^(-lam m) / K rescale and average.  The
-    signal is (f_t|P f_t) - sum_k (f_t|Q_k f_t) over the nodes, and the
-    noise one joint path L z from ``kernel`` (None when the noise is off).
-    An estimate is sum w (s + L z) = w @ s + u @ z with u = L^T w, so every
-    trial draws z and contracts it with u (``keyed_noise``, ``noise_batch``);
-    the full path (``noise_path``) is formed only where it is plotted.
+    signal is (f_t|P f_t) - sum_k (f_t|Q_k f_t) over the nodes, summed by
+    the caller from the per-term ``forms``, and the noise one joint path
+    L z from ``kernel`` (None when the noise is off).  An estimate is
+    sum w (s + L z) = w @ s + u @ z with u = L^T w, so every trial draws z
+    and contracts it with u (``keyed_noise``); the full path
+    (``noise_engine.sample_path``) is formed only where it is plotted.
     """
 
     def __init__(
@@ -200,7 +200,7 @@ class TermDesign:
                 raise ConfigError("measurement_recovery: averaged mode needs >= 2 nodes")
             if k > MAX_AVERAGE_NODES:
                 raise NumericalError(
-                    f"measurement_recovery: average needs {k} nodes at N={N:g}, "
+                    f"measurement_recovery: average needs {k:.3g} nodes at N={N:g}, "
                     f"above the cap {MAX_AVERAGE_NODES}; reduce N, lambda or the count"
                 )
             nodes = average_grid(N, k)
@@ -224,49 +224,33 @@ class TermDesign:
             plan.mode(j), N, n_nodes, noise,
         )
 
-    def form(self, P, x0=None) -> np.ndarray:
-        """(f_t|P f_t) over the nodes, with the packets moved to x0 (an
-        array x0 adds a leading base-point axis)."""
-        return packet_quadratic_form(self.family, self.nodes, P, x0)
+    def forms(self, terms, x0=None) -> list:
+        """(f_t|P f_t) over the nodes for each term P of ``terms``, with the
+        packets moved to x0 (an array x0 adds a leading base-point axis).
 
-    def form_and_signal(self, observable: SymbolExpansion, j: int, x0=None) -> tuple:
-        """(f_t|P f_t) and the oracle-subtracted signal of term j: the sum of
-        the forms of terms j and later, which equals that form minus the
-        forms of terms 1..j-1 without cancelling the larger earlier ones.
-        Each term is integrated once and serves both."""
-        per_term = [self.form(term, x0) for term in observable.terms]
-        form = sum(per_term, 0j)
-        return form, sum(per_term[j - 1 :], np.zeros_like(form))
-
-    def signal(self, observable: SymbolExpansion, j: int, x0=None) -> np.ndarray:
-        """The oracle-subtracted signal of term j, integrating only terms j
-        and later (zero over the nodes past the last term).  The sum runs in
-        the order of ``form_and_signal``, so the two agree bit for bit."""
-        out = np.zeros(np.shape(x0) + self.nodes.shape, dtype=complex)
-        for term in observable.terms[j - 1 :]:
-            out += self.form(term, x0)
-        return out
+        Callers sum them from zero in term order: the form of the observable
+        is ``sum(forms(terms), 0j)``, and the oracle-subtracted signal of
+        term j is ``sum(forms(terms[j - 1:]), 0j)``, the forms of terms j and
+        later, which equals the full form minus those of terms 1..j-1
+        without cancelling the larger earlier ones."""
+        return [packet_quadratic_form(self.family, self.nodes, term, x0) for term in terms]
 
     @cached_property
     def noise_weights(self) -> np.ndarray:
         """u = L^T w, which turns a white draw z into the estimate's noise."""
         return self.kernel.apply_factor_transpose(self.weights)
 
-    def noise_path(self, seed: int) -> np.ndarray:
-        """One joint draw over the nodes; zeros when the noise is off."""
-        if self.kernel is None:
-            return np.zeros(self.nodes.size, dtype=complex)
-        return sample_path(self.kernel, seed)
-
-    def estimate(self, values: np.ndarray) -> complex:
-        """sum_t w_t values_t for one path of signal plus noise."""
-        return complex(np.sum(self.weights * values))
+    def estimate(self, values: np.ndarray) -> np.ndarray:
+        """sum_t w_t values_t over the trailing node axis: one estimate per
+        path of signal plus noise."""
+        return np.sum(self.weights * values, axis=-1)
 
     def keyed_noise(self, keys) -> np.ndarray:
         """u @ z for each Philox key in ``keys`` (shape (..., 2), as
-        ``stream_keys`` returns them), z the draw of that stream's
-        ``noise_path``; shape ``keys.shape[:-1]``, zeros when the noise is
-        off.  ``parallel_map`` draws the keys in one contiguous chunk per
+        ``stream_keys`` returns them), z that stream's standard complex
+        normals over the nodes, the draw that ``sample_paths`` turns into
+        L z; shape ``keys.shape[:-1]``, zeros when the noise is off.
+        ``parallel_map`` draws the keys in one contiguous chunk per
         thread, each chunk on one generator switched from key to key; each
         key is its own stream, so the values do not depend on the split."""
         keys = np.asarray(keys)
@@ -278,12 +262,6 @@ class TermDesign:
             keys.reshape(-1, 2),
         )
         return np.array(draws, dtype=complex).reshape(keys.shape[:-1])
-
-    def noise_batch(self, trials: int, master_seed: int, *key) -> np.ndarray:
-        """u @ z for each trial, z keyed by (master_seed, trial, *key): the
-        draws of ``rng_for(master_seed, trial, *key)``, with every key
-        derived in one call (``keyed_noise``)."""
-        return self.keyed_noise(stream_keys(master_seed, np.arange(trials), *key))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +391,6 @@ class EstimatorReport:
     rows: list
     trajectories: dict = field(default_factory=dict)
 
-    def errors(self, subtract: str = "oracle") -> np.ndarray:
-        return np.array([r.abs_error for r in self.rows if r.subtract == subtract])
-
 
 class RecoverySession:
     """Precomputed signals and kernels for repeated recovery trials.
@@ -452,7 +427,6 @@ class RecoverySession:
                 "measurement_recovery: self-subtraction needs an x0 grid dense "
                 "enough for interpolation (>= 4 distinct points)"
             )
-        self.N = float(N)
         self.modes = ("oracle", "self") if subtract_mode == "both" else (subtract_mode,)
         # the mode whose trajectories are kept: only x0_grid[0]'s are plotted
         self.plotted_mode = "oracle" if subtract_mode == "both" else subtract_mode
@@ -473,21 +447,23 @@ class RecoverySession:
         self.cardinal_sums = {}
         self.plotted_signals = {}
         cardinals = np.eye(self.x0_grid.size)
+        terms = model.observable.terms
         for j in range(1, plan.k_beta + 1):
-            design = TermDesign.for_term(model, plan, j, self.N, n_nodes, noise)
+            design = TermDesign.for_term(model, plan, j, N, n_nodes, noise)
             self.designs[j] = design
             self.truths[j] = [float(model.truth(j, x0).real) for x0 in self.x0_grid]
-            if subtract_mode == "oracle":
-                forms, signals = None, design.signal(model.observable, j, self.x0_grid)
-            else:
-                forms, signals = design.form_and_signal(model.observable, j, self.x0_grid)
-                self.weighted_forms[j] = np.array([design.estimate(v) for v in forms])
-            self.oracle_estimates[j] = np.array([design.estimate(v) for v in signals])
-            self.plotted_signals[j] = (
-                signals[0] if self.plotted_mode == "oracle" else forms[0]
-            )
-            if subtract_mode == "oracle":
+            oracle_only = subtract_mode == "oracle"
+            earlier = [] if oracle_only else design.forms(terms[: j - 1], self.x0_grid)
+            later = design.forms(terms[j - 1 :], self.x0_grid)
+            signals = sum(later, 0j)
+            self.oracle_estimates[j] = design.estimate(signals)
+            self.plotted_signals[j] = signals[0]
+            if oracle_only:
                 continue
+            forms = sum(earlier + later, 0j)
+            self.weighted_forms[j] = design.estimate(forms)
+            if self.plotted_mode == "self":
+                self.plotted_signals[j] = forms[0]
             for k in range(1, j):
                 term = self.recovered_term(k, cardinals)
                 self.cardinal_sums[(j, k)] = spline_form_sums(
@@ -516,10 +492,10 @@ class RecoverySession:
 
     def trial_noise(self, seeds) -> list:
         """Every trial's noise, one dict per seed: term j to the estimates'
-        noise u @ z over the grid points i, z the draw of
-        ``noise_path(child_seed(seed, "recover", j, i))``.  For each design
-        the stream keys of all (trial, grid point) pairs are derived in one
-        call and drawn in one batch (``TermDesign.keyed_noise``)."""
+        noise u @ z over the grid points i, z the white draw of
+        ``sample_path(kernel, child_seed(seed, "recover", j, i))``.  For each
+        design the stream keys of all (trial, grid point) pairs are derived
+        in one call and drawn in one batch (``TermDesign.keyed_noise``)."""
         seeds = np.asarray(seeds, dtype=np.uint64)
         grid = np.arange(self.x0_grid.size)
         draws = {
@@ -556,10 +532,13 @@ class RecoverySession:
                 if trajectories and subtract == self.plotted_mode:
                     signal = self.plotted_signals[j]
                     if subtract == "self":
-                        for k, prior in enumerate(recovered, start=1):
-                            term = self.recovered_term(k, prior)
-                            signal = signal - design.form(term, self.x0_grid[0])
-                    path = design.noise_path(child_seed(seed, "recover", j, 0))
+                        terms = [self.recovered_term(k, prior)
+                                 for k, prior in enumerate(recovered, start=1)]
+                        for form in design.forms(terms, self.x0_grid[0]):
+                            signal = signal - form
+                    path = 0.0 if design.kernel is None else sample_path(
+                        design.kernel, child_seed(seed, "recover", j, 0)
+                    )
                     report.trajectories[(subtract, j, float(self.x0_grid[0]))] = (
                         design.nodes,
                         design.weights * (signal + path) * design.nodes.size,

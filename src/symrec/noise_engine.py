@@ -72,16 +72,11 @@ class JapaneseBracketWeight:
         return (1.0 + np.asarray(xi, dtype=float) ** 2) ** self.beta
 
 
-def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[int, int]:
-    k_lo = int(np.floor((center - half) / spacing - 0.5))
-    k_hi = int(np.ceil((center + half) / spacing - 0.5))
-    return k_lo, k_hi
-
-
 def _node_windows(family: WavePacketFamily, nodes: np.ndarray, spacing: float):
     """Centers and lattice index ranges [k_lo, k_hi] of the packet windows,
-    one row per node: the integers of ``_lattice_index_range``, computed on
-    arrays."""
+    one row per node: the indices of the lattice points xi_k = (k + 1/2)
+    spacing from the last at or below center - t to the first at or above
+    center + t, so they bracket the window |xi - center| < t."""
     ts = np.asarray(nodes, dtype=float)
     centers = np.array([family.center(float(t)) for t in ts])
     ranges = np.empty((ts.size, 2), dtype=np.int64)

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, NumericalError
 from .measurement_recovery import MeasurementModel, OrderPlan, TermDesign
 from .noise_engine import JapaneseBracketWeight
+from .rng import stream_keys
 from .wave_packets import WavePacketFamily, block_rows
 
 WILSON_Z = 1.0            # Wilson interval half-width in standard errors
@@ -40,8 +41,6 @@ CONTINUUM_N_V = 721       # ... and in v = (s^lam - t^lam)/T over [-4.5, 4.5]
 
 @dataclass(frozen=True)
 class SlopeRegression:
-    x: np.ndarray
-    y: np.ndarray
     slope: float
     intercept: float
     stderr: float
@@ -65,7 +64,7 @@ class SlopeRegression:
         stderr = math.sqrt((1.0 - r * r) * ssym / ssxm / (x.size - 2))
         if not math.isfinite(stderr):
             raise NumericalError("stats_harness: regression stderr is not finite")
-        return cls(x, y, slope, intercept, stderr)
+        return cls(slope, intercept, stderr)
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -232,7 +231,7 @@ def variance_scaling_experiment(
             continuum_average_variance(family_template, beta, m, grid[gi])
             if target == "averaged" else math.nan
         )
-        noise = design.noise_batch(trials, master_seed, key, gi)
+        noise = design.keyed_noise(stream_keys(master_seed, np.arange(trials), key, gi))
         return complex_variance(noise), kernel_var, continuum
 
     empirical, kernel_var, continuum = np.array([point(gi) for gi in range(grid.size)]).T
@@ -319,9 +318,10 @@ def nonconvergence_experiment(
         variance and the noise-free deviation at grid[gi]; the design dies
         with the call."""
         design = TermDesign(family, model.beta, m_j, mode, grid[gi])
-        offset = design.estimate(design.signal(model.observable, j)) - truth
+        signal = sum(design.forms(model.observable.terms[j - 1 :]), 0j)
+        offset = design.estimate(signal) - truth
         sigma_sq = design.kernel.quad_form(design.weights)
-        noise = design.noise_batch(trials, master_seed, "nonconv", gi)
+        noise = design.keyed_noise(stream_keys(master_seed, np.arange(trials), "nonconv", gi))
         successes = int(np.count_nonzero(np.abs(offset + noise) > threshold))
         return (*wilson_interval(successes, trials), sigma_sq, abs(offset))
 
@@ -340,8 +340,6 @@ class RateCertificate:
     eps: float
     delta: float
     n0: float
-    c_emp: float
-    theta_emp: float
 
 
 @dataclass(frozen=True)
@@ -352,12 +350,6 @@ class RateSurface:
     certificates: tuple
     c_emp: float
     theta_emp: float
-
-    def certificate(self, eps: float, delta: float) -> RateCertificate:
-        for cert in self.certificates:
-            if cert.eps == eps and cert.delta == delta:
-                return cert
-        raise KeyError((eps, delta))
 
 
 def rate_certificate_experiment(
@@ -397,12 +389,12 @@ def rate_certificate_experiment(
         """|estimate - a_j| of every trial at n_grid[ni]; the design dies with
         the call."""
         design = TermDesign.for_term(model, plan, j, n_grid[ni], noise=noise)
-        base = design.estimate(design.signal(model.observable, j))
-        return np.abs(base + design.noise_batch(trials, master_seed, f"rate-{ni}") - truth)
+        base = design.estimate(sum(design.forms(model.observable.terms[j - 1 :]), 0j))
+        draws = design.keyed_noise(stream_keys(master_seed, np.arange(trials), f"rate-{ni}"))
+        return np.abs(base + draws - truth)
 
     errors = np.array([point(ni) for ni in range(n_grid.size)])
 
-    certificates = []
     n0_values = {}
     success_tbl = np.empty((n_grid.size, len(eps_list)))
     for ei, eps in enumerate(eps_list):
@@ -422,11 +414,10 @@ def rate_certificate_experiment(
             n0_values[(eps, delta)] = float(n_grid[hits[0]])
 
     c_emp, theta_emp = _fit_rate_surface(n0_values)
-    for (eps, delta), n0 in n0_values.items():
-        certificates.append(RateCertificate(eps, delta, n0, c_emp, theta_emp))
-    return RateSurface(
-        n_grid, eps_list, success_tbl, tuple(certificates), c_emp, theta_emp
+    certificates = tuple(
+        RateCertificate(eps, delta, n0) for (eps, delta), n0 in n0_values.items()
     )
+    return RateSurface(n_grid, eps_list, success_tbl, certificates, c_emp, theta_emp)
 
 
 def _fit_rate_surface(n0_values: dict) -> tuple[float, float]:

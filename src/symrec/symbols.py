@@ -87,14 +87,6 @@ class SymbolExpansion:
         object.__setattr__(self, "terms", terms)
 
 
-def _as_terms(P) -> tuple:
-    if isinstance(P, SymbolExpansion):
-        return P.terms
-    if isinstance(P, HomogeneousTerm):
-        return (P,)
-    raise TypeError(f"symbols: cannot interpret {type(P).__name__} as a symbol")
-
-
 def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> tuple:
     """Real and imaginary parts of S_t(y) of ``term`` (see
     ``packet_quadratic_form``) on the unit y grid, each of shape (y, node)
@@ -113,26 +105,30 @@ def spectral_transform(family: WavePacketFamily, term: HomogeneousTerm, ts) -> t
     return profile.kernel_cos @ (g[:half] + mirrored), profile.kernel_sin @ (g[:half] - mirrored)
 
 
-def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.ndarray:
-    """(f_t|P f_t) for a batch of packet scales, on unit-scale grids.
+def packet_quadratic_form(
+    family: WavePacketFamily, t_nodes, term: HomogeneousTerm, x0=None
+) -> np.ndarray:
+    """(f_t|P f_t) of one term P for a batch of packet scales, on unit-scale
+    grids.
 
     Uses the substitution y = t*(x - x0), eta = (xi - t^lam*xi0)/t, under
     which every node shares the same fixed y and eta grids:
 
-        (f_t|P f_t) = sum_j integral chi(y) c_j(x0 + y/t) S_j,t(y) dy,
-        S_j,t(y) = (2*pi)^(-1/2) integral exp(i*y*eta)
-                   s_j(t^lam*xi0 + t*eta) chi_hat(eta) deta,
+        (f_t|P f_t) = integral chi(y) c(x0 + y/t) S_t(y) dy,
+        S_t(y) = (2*pi)^(-1/2) integral exp(i*y*eta)
+                 s(t^lam*xi0 + t*eta) chi_hat(eta) deta,
 
-    where s_j is the xi-part of term j.  The tests check it against an
-    independent nested quadrature on a physical grid.
+    where s is the xi-part of the term.  The form of an expansion is the sum
+    of its terms' forms.  The tests check it against an independent nested
+    quadrature on a physical grid.
 
-    S_j,t does not depend on x0, so it is computed once per term and node
-    block, its real and imaginary parts weighted by chi(y) dy, and shared by
-    every base point, which contracts each part with the coefficient in
-    real arithmetic (a complex coefficient gives complex parts, and
-    sum c S = sum c Re S + i sum c Im S).  A block holds as many nodes as
-    fit ``BLOCK_ENTRIES`` (y, node) entries.  An array ``x0`` adds a
-    leading base-point axis to the result.
+    S_t does not depend on x0, so it is computed once per node block, its
+    real and imaginary parts weighted by chi(y) dy, and shared by every base
+    point, which contracts each part with the coefficient in real arithmetic
+    (a complex coefficient gives complex parts, and sum c S = sum c Re S +
+    i sum c Im S).  A block holds as many nodes as fit ``BLOCK_ENTRIES``
+    (y, node) entries.  An array ``x0`` adds a leading base-point axis to
+    the result.
     """
     profile = family.profile
     x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))
@@ -140,16 +136,15 @@ def packet_quadratic_form(family: WavePacketFamily, t_nodes, P, x0=None) -> np.n
     out = np.zeros((x0s.size, t_nodes.size), dtype=complex)
     block = block_rows(profile.y.size)
     weights = profile.y_weights[:, None]
-    for term in _as_terms(P):
-        for lo in range(0, t_nodes.size, block):
-            ts = t_nodes[lo : lo + block]
-            s_re, s_im = (weights * part for part in spectral_transform(family, term, ts))
-            offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
-            for i, base in enumerate(x0s):
-                cvals = np.asarray(term.coefficient(base + offsets))
-                re = np.einsum("yk,yk->k", cvals, s_re)
-                im = np.einsum("yk,yk->k", cvals, s_im)
-                out[i, lo : lo + block] += re + 1j * im
+    for lo in range(0, t_nodes.size, block):
+        ts = t_nodes[lo : lo + block]
+        s_re, s_im = (weights * part for part in spectral_transform(family, term, ts))
+        offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
+        for i, base in enumerate(x0s):
+            cvals = np.asarray(term.coefficient(base + offsets))
+            re = np.einsum("yk,yk->k", cvals, s_re)
+            im = np.einsum("yk,yk->k", cvals, s_im)
+            out[i, lo : lo + block] += re + 1j * im
     return out if np.ndim(x0) else out[0]
 
 
@@ -160,7 +155,7 @@ def asymptotic_error_probe(
     t_list = np.asarray(t_list, dtype=float)
     lead = P.terms[0]
     truth = complex(lead.eval(family.x0, family.xi0))
-    values = packet_quadratic_form(family, t_list, P)
+    values = sum((packet_quadratic_form(family, t_list, term) for term in P.terms), 0j)
     scaled = values * t_list ** (-family.lam * lead.order)
     errors = np.abs(scaled - truth)
     return {

@@ -27,7 +27,7 @@ from scipy.integrate import simpson
 
 from symrec.errors import NumericalError
 from symrec.noise_engine import JapaneseBracketWeight
-from symrec.symbols import _as_terms
+from symrec.symbols import SymbolExpansion
 from symrec.wave_packets import TWO_PI, WavePacketFamily, lattice_spacing_for
 
 
@@ -324,7 +324,7 @@ def quadratic_form(f: SpectralPatch, P, x_grid: PhysicalGrid) -> complex:
     require_tail_small(fx, 1e-6, "reference_quadrature: quadratic_form x-grid")
     total = 0.0 + 0.0j
     xi = f.window.grid()
-    for term in _as_terms(P):
+    for term in P.terms if isinstance(P, SymbolExpansion) else (P,):
         weighted = SpectralPatch(f.window, f.values * term.spectral_factor(xi))
         action = evaluate_physical(weighted, x)
         cvals = np.asarray(term.coefficient(x))

@@ -32,6 +32,8 @@ from symrec.symbols import (
 from symrec.wave_packets import WavePacketFamily
 
 from reference_quadrature import inner_product_sobolev, l2_norm, make_packet
+from test_recovery import oracle_errors
+from test_stats_harness import certificate
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -185,7 +187,7 @@ def test_criterion_7_end_to_end_recovery(two_term):
     worst = 0.0
     seeds = [child_seed(107, seed, "accept") for seed in range(100)]
     for seed, noise in zip(seeds, session.trial_noise(seeds)):
-        errs = session.run_seed(seed, noise).errors()
+        errs = oracle_errors(session.run_seed(seed, noise))
         worst = max(worst, float(errs.max()))
         if errs.max() < 0.1:
             good += 1
@@ -229,8 +231,8 @@ def test_criterion_9_rate_certificate(two_term):
         model, plan, 1, [0.1, 0.05], [0.1],
         [4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0], trials=400, master_seed=110,
     )
-    n0 = surface.certificate(0.1, 0.1).n0
-    n0_half = surface.certificate(0.05, 0.1).n0
+    n0 = certificate(surface, 0.1, 0.1).n0
+    n0_half = certificate(surface, 0.05, 0.1).n0
     idx = np.nonzero(surface.n_grid >= n0)[0]
     success_ok = bool(np.all(surface.success[idx, 0] >= 0.9))
     ok = success_ok and n0_half >= n0

@@ -233,12 +233,25 @@ class TestCommands:
                 "subtract = self\nx0_grid = -0.5, 0.0, 0.0, 0.25, 0.5", 2,
                 id="subtract = self, a repeated x0 point-2",
             ),
-            # an explicit count meets the cap before any node is built
-            ("average_nodes = 100000", 3),
+            # an explicit count past the cap follows from the config alone
+            ("average_nodes = 100000", 2),
         ],
     )
     def test_failure_contract(self, tmp_path, capsys, line, code):
         _assert_one_line_failure(tmp_path, capsys, "recover", line, code)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_profile_sharpness_400_exits_2(self, tmp_path, capsys, command):
+        # the profile bridge a / (a + b) is 0/0 where exp(-2 * sharpness)
+        # underflows, so the parser rejects the key before any profile
+        err = _assert_one_line_failure(tmp_path, capsys, command, "profile_sharpness = 400", 2)
+        assert "profile_sharpness" in err
+
+    def test_node_cap_prints_the_count_in_three_digits(self, tmp_path, capsys):
+        # lambda_2 = 40 asks for a 50-digit node count at scale 8; the cap
+        # meets it before any node is built
+        err = _assert_one_line_failure(tmp_path, capsys, "recover", "lambda_2 = 40", 3)
+        assert "average needs 1.46e+49 nodes at N=8" in err
 
     @pytest.mark.parametrize(
         "command, line",
@@ -247,7 +260,6 @@ class TestCommands:
             ("recover", "lambda_2 = 1e300"),
             ("recover", "scale = 1e300"),
             ("noise-stats", "scale = 1e300"),
-            *[(command, "profile_sharpness = 400") for command in COMMANDS],
             ("noise-stats", "beta = 1e300"),
             ("nonconvergence", "beta = 1e300"),
             ("asymptotics", "grid = 1e300"),
@@ -300,6 +312,8 @@ class TestCommands:
             ("recover", "lambda_-1 = 3", "lambda_"),
             ("recover", "alert_threshold = -1", "alert_threshold"),
             ("recover", "alert_threshold = 0", "alert_threshold"),
+            ("recover", "average_nodes = 1000000", "average_nodes"),
+            ("recover", "profile_sharpness = 372.567", "profile_sharpness"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):

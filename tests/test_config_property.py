@@ -9,6 +9,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from symrec.cli_io import ExperimentConfig, TermSpec, parse_config, serialize_config  # noqa: E402
+from symrec.measurement_recovery import MAX_AVERAGE_NODES  # noqa: E402
 
 _floats = st.floats(allow_nan=False, allow_infinity=False)
 _float_lists = st.lists(_floats, max_size=4).map(tuple)
@@ -23,13 +24,13 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     beta=_floats,
     x0_grid=st.lists(_floats, min_size=1, max_size=4).map(tuple),
     xi0=st.sampled_from([1.0, -1.0]),
-    profile_sharpness=st.floats(min_value=1e-6, max_value=1e6),
+    profile_sharpness=st.floats(min_value=1e-6, max_value=372.5),
     noise=st.booleans(),
     subtract=st.sampled_from(["oracle", "self", "both"]),
     orders=_float_lists,
     grid=st.lists(_scales, min_size=1, max_size=4).map(tuple),
     scale=_scales,
-    average_nodes=st.one_of(st.just(0), st.integers(2, 10**6)),
+    average_nodes=st.one_of(st.just(0), st.integers(2, MAX_AVERAGE_NODES)),
     trials=st.integers(1, 10**6),
     seed=st.integers(-(2**63), 2**63),
     out=st.text("abc/_-.0123456789", min_size=1, max_size=12),

@@ -19,7 +19,6 @@ from symrec.noise_engine import (
     ORACLE_POINTS_PER_MIN_WINDOW,
     JapaneseBracketWeight,
     NoiseKernel,
-    _lattice_index_range,
     _node_patch_matrix,
     _node_windows,
     _oracle_coefficients,
@@ -433,6 +432,14 @@ def test_patch_is_real_and_the_same_at_every_x0(profile, x0):
     assert mat.dtype == float
     assert np.array_equal(mat.indices, ref.indices)
     assert np.array_equal(mat.data, ref.data)
+
+
+def _lattice_index_range(center: float, half: float, spacing: float) -> tuple[int, int]:
+    """The scalar reference for ``_node_windows``: the lattice indices that
+    bracket the window |xi - center| < half."""
+    k_lo = int(np.floor((center - half) / spacing - 0.5))
+    k_hi = int(np.ceil((center + half) / spacing - 0.5))
+    return k_lo, k_hi
 
 
 def _patch_matrix_per_row(family, nodes, spacing):

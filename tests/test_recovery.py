@@ -35,14 +35,19 @@ def estimate(model, plan, j, N, seed=0, noise=True, n_nodes=None):
     child_seed(seed, "plain" or "avg", j)."""
     design = TermDesign.for_term(model, plan, j, N, n_nodes, noise)
     tag = "plain" if plan.mode(j) == "plain" else "avg"
-    value = design.estimate(design.signal(model.observable, j))
+    value = design.estimate(sum(design.forms(model.observable.terms[j - 1 :]), 0j))
     keys = stream_keys(child_seed(seed, tag, j), "noise-path")
-    return value + complex(design.keyed_noise(keys))
+    return complex(value + design.keyed_noise(keys))
 
 
 def run_trial(session, seed, trajectories=True):
     """session.run_seed for one seed, with that seed's batched noise."""
     return session.run_seed(seed, session.trial_noise([seed])[0], trajectories)
+
+
+def oracle_errors(report) -> np.ndarray:
+    """The absolute errors of the oracle-subtracted rows of a report."""
+    return np.array([r.abs_error for r in report.rows if r.subtract == "oracle"])
 
 
 class TestPlanOrders:
@@ -82,13 +87,13 @@ class TestMeasure:
         P = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("1")),))
         model = MeasurementModel(P, 0.0, 0.0, 1.0, two_term_model.profile)
         design = TermDesign(model.family_for(2.0), 0.0, 0.0, "plain", 8.0, noise=False)
-        assert abs(design.signal(model.observable, 1)[0] - 1.0) < 1e-6
+        assert abs(design.forms(model.observable.terms)[0][0] - 1.0) < 1e-6
 
     def test_subtracted_measurement_matches_residual_symbol(self, two_term_model):
         # j = 2 measurement equals the quadratic form of the remaining term
         family = two_term_model.family_for(2.5)
         design = TermDesign(family, 0.0, 0.0, "plain", 8.0, noise=False)
-        val = design.signal(two_term_model.observable, 2)[0]
+        val = sum(design.forms(two_term_model.observable.terms[1:]), 0j)[0]
         residual = packet_quadratic_form(
             family, [8.0], two_term_model.observable.terms[1]
         )[0]
@@ -159,19 +164,17 @@ class TestAveragedEstimate:
 
 
 def test_subtraction_telescoping(two_term_model):
-    # sum of the term forms plus the remainder form equals the full form
+    # the signal of term j plus the forms of terms 1..j-1 is the full form
     family = two_term_model.family_for(2.0)
-    full = packet_quadratic_form(family, [8.0], two_term_model.observable)[0]
-    parts = sum(
-        packet_quadratic_form(family, [8.0], term)[0]
-        for term in two_term_model.observable.terms
-    )
-    assert abs(full - parts) < 1e-8 * abs(full)
-    # and the j = k_beta + 1 measurement is the full form minus all terms
-    beyond = len(two_term_model.observable.terms) + 1
+    terms = two_term_model.observable.terms
     design = TermDesign(family, 0.0, 0.0, "plain", 8.0, noise=False)
-    left = design.signal(two_term_model.observable, beyond)[0]
-    assert abs(left - (full - parts)) < 1e-10
+    full = sum(design.forms(terms), 0j)[0]
+    for j in range(1, len(terms) + 2):
+        signal = sum(design.forms(terms[j - 1 :]), 0j)
+        earlier = sum(packet_quadratic_form(family, [8.0], term)[0] for term in terms[: j - 1])
+        assert abs(signal + earlier - full) < 1e-8 * abs(full)
+    # and the j = k_beta + 1 measurement, past every term, is zero
+    assert signal == 0
 
 
 def test_recover_expansion_single_seed(two_term_model, two_term_plan):
@@ -181,7 +184,7 @@ def test_recover_expansion_single_seed(two_term_model, two_term_plan):
     )
     report = run_trial(session, 2024)
     assert len(report.rows) == 10
-    assert report.errors().max() < 0.1
+    assert oracle_errors(report).max() < 0.1
 
 
 def test_zero_observable_noise_floor(profile, two_term_plan):
@@ -251,7 +254,7 @@ def test_every_entry_point_computes_the_same_estimate(two_term_model, two_term_p
 def test_noise_batch_is_the_weighted_path_batch(two_term_model, two_term_plan, j):
     # u @ z per trial against the full paths L z contracted with w
     design = TermDesign.for_term(two_term_model, two_term_plan, j, 8.0)
-    got = design.noise_batch(6, 17, "key", 3)
+    got = design.keyed_noise(stream_keys(17, np.arange(6), "key", 3))
     z = np.array(
         [standard_complex_normal(rng_for(17, trial, "key", 3), design.nodes.size)
          for trial in range(6)]
@@ -262,10 +265,11 @@ def test_noise_batch_is_the_weighted_path_batch(two_term_model, two_term_plan, j
 
 def test_noise_batch_does_not_depend_on_the_worker_limit(two_term_model, two_term_plan):
     design = TermDesign.for_term(two_term_model, two_term_plan, 2, 8.0)
+    keys = stream_keys(17, np.arange(50), "key")
     with worker_limit(1):
-        serial = design.noise_batch(50, 17, "key")
+        serial = design.keyed_noise(keys)
     with worker_limit(2):
-        pooled = design.noise_batch(50, 17, "key")
+        pooled = design.keyed_noise(keys)
     assert np.array_equal(pooled, serial)
 
 
@@ -354,7 +358,7 @@ def test_session_oracle_signals_match_the_design(self_session, two_term_model):
     for j, estimates in session.oracle_estimates.items():
         design = session.designs[j]
         expected = [
-            design.estimate(design.signal(two_term_model.observable, j, x0))
+            design.estimate(sum(design.forms(two_term_model.observable.terms[j - 1 :], x0), 0j))
             for x0 in session.x0_grid
         ]
         assert np.array_equal(estimates, expected)
@@ -363,9 +367,20 @@ def test_session_oracle_signals_match_the_design(self_session, two_term_model):
 def test_oracle_signal_is_the_sum_of_the_later_terms(two_term_model):
     design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, "averaged", 8.0, 16, False)
     terms = two_term_model.observable.terms
-    form, signal = design.form_and_signal(two_term_model.observable, 2)
-    assert np.array_equal(signal, 0j + design.form(terms[1]))
-    assert np.array_equal(form, 0j + design.form(terms[0]) + design.form(terms[1]))
+    first, second = design.forms(terms)
+    assert np.array_equal(sum(design.forms(terms[1:]), 0j), 0j + second)
+    assert np.array_equal(sum(design.forms(terms), 0j), 0j + first + second)
+
+
+@pytest.mark.parametrize("mode, n_nodes", [("plain", None), ("averaged", 300), ("averaged", 14482)])
+def test_estimate_reduces_the_trailing_node_axis(two_term_model, rng, mode, n_nodes):
+    # one estimate per base-point row, each the same sum as that row's alone
+    design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, mode, 8.0, n_nodes, False)
+    re, im = rng.normal(size=(2, 3, design.nodes.size))
+    values = re + 1j * im
+    got = design.estimate(values)
+    assert got.shape == (3,)
+    assert np.array_equal(got, [design.estimate(row) for row in values])
 
 
 @pytest.mark.parametrize(
@@ -412,11 +427,11 @@ def test_base_point_array_matches_scalar_calls(monkeypatch, two_term_model):
     monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", 3 * family.profile.y.size)
     nodes = np.linspace(8.0, 16.0, 7)
     x0s = np.array([-0.3, 0.0, 0.4])
-    P = two_term_model.observable
-    rows = packet_quadratic_form(family, nodes, P, x0s)
-    assert rows.shape == (3, 7)
-    for i, x0 in enumerate(x0s):
-        assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, P, x0))
+    for term in two_term_model.observable.terms:
+        rows = packet_quadratic_form(family, nodes, term, x0s)
+        assert rows.shape == (3, 7)
+        for i, x0 in enumerate(x0s):
+            assert np.array_equal(rows[i], packet_quadratic_form(family, nodes, term, x0))
 
 
 def test_quadrature_memory_follows_the_block_not_the_node_count(two_term_model):
@@ -442,9 +457,9 @@ def integrated_terms(monkeypatch, two_term_model):
     terms = two_term_model.observable.terms
     integrate = measurement_recovery.packet_quadratic_form
 
-    def recording(family, t_nodes, P, x0=None):
-        calls.append((np.size(t_nodes), next(k for k, t in enumerate(terms, 1) if t is P)))
-        return integrate(family, t_nodes, P, x0)
+    def recording(family, t_nodes, term, x0=None):
+        calls.append((np.size(t_nodes), next(k for k, t in enumerate(terms, 1) if t is term)))
+        return integrate(family, t_nodes, term, x0)
 
     monkeypatch.setattr(measurement_recovery, "packet_quadratic_form", recording)
     return calls
@@ -468,11 +483,14 @@ def test_session_integrates_only_the_forms_it_reads(
 
 
 def test_design_signal_integrates_only_terms_from_j(two_term_model, integrated_terms):
+    # the signal of term j sums the forms of terms j and later, one
+    # quadrature call per term at every base point at once
     design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, "averaged", 8.0, 16, False)
+    terms = two_term_model.observable.terms
     for j, later in ((1, [1, 2]), (2, [2]), (3, [])):
         integrated_terms.clear()
-        signal = design.signal(two_term_model.observable, j, [0.0, 0.3])
-        assert [k for _, k in integrated_terms] == later
-    # past the last term the signal is zero over the nodes, at every base point
-    assert np.array_equal(signal, np.zeros((2, 16), dtype=complex))
-    assert np.array_equal(design.signal(two_term_model.observable, 3), np.zeros(16, dtype=complex))
+        forms = design.forms(terms[j - 1 :], [0.0, 0.3])
+        assert integrated_terms == [(16, k) for k in later]
+        assert [form.shape for form in forms] == [(2, 16)] * len(later)
+    # past the last term the signal is zero
+    assert sum(forms, 0j) == 0

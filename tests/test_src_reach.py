@@ -23,12 +23,7 @@ SRC = Path(symrec.__file__).resolve().parent
 
 # module-qualified name -> why the CLI need not call it
 NOT_RUN_BY_THE_CLI = {
-    "noise_engine._lattice_index_range": "the tests' scalar reference for _node_windows",
     "noise_engine.NoiseKernel.offsets": "read by the perfbench layer trace",
-    "stats_harness.RateSurface.certificate": "a lookup for the tests",
-    "measurement_recovery.EstimatorReport.errors": (
-        "a lookup for the tests and the acceptance criteria"
-    ),
     "expressions._quote": "formats expressions in error messages only",
     "cli_io._each": "builds the config domain checks at import",
 }

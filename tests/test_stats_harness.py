@@ -25,6 +25,11 @@ from symrec.symbols import (
 from symrec.wave_packets import WavePacketFamily
 
 
+def certificate(surface, eps: float, delta: float):
+    """The certificate of ``surface`` at (eps, delta)."""
+    return next(c for c in surface.certificates if (c.eps, c.delta) == (eps, delta))
+
+
 @pytest.fixture(scope="module")
 def constant_order_zero(profile):
     P = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("0.7")),))
@@ -279,7 +284,7 @@ class TestRateCertificates:
             two_term_model, two_term_plan, 1, [eps], [1.0],
             [4, 8, 16, 32], trials=25, master_seed=3, noise=False,
         )
-        n0 = surface.certificate(eps, 1.0).n0
+        n0 = certificate(surface, eps, 1.0).n0
         # independent oracle: deterministic error curve of the rescaled form
         family = two_term_model.family_for(two_term_plan.lam(1))
         probe = asymptotic_error_probe(
@@ -298,8 +303,8 @@ class TestRateCertificates:
             two_term_model, two_term_plan, 1, [0.1, 0.05], [0.1],
             [4, 6, 8, 12, 16, 24, 32], trials=400, master_seed=31,
         )
-        n0_coarse = surface.certificate(0.1, 0.1).n0
-        n0_fine = surface.certificate(0.05, 0.1).n0
+        n0_coarse = certificate(surface, 0.1, 0.1).n0
+        n0_fine = certificate(surface, 0.05, 0.1).n0
         assert np.isfinite(n0_coarse) and n0_coarse >= 4
         assert n0_fine >= n0_coarse
         assert surface.theta_emp > 0

@@ -69,7 +69,7 @@ def test_orders_must_decrease():
 
 
 def test_identity_quadratic_form(family):
-    P = SymbolExpansion((HomogeneousTerm(0.0, parse_coeff("1")),))
+    P = HomogeneousTerm(0.0, parse_coeff("1"))
     for t in (2.0, 8.0, 32.0):
         val = packet_quadratic_form(family, [t], P)[0]
         assert abs(val - 1.0) < 1e-6
@@ -77,7 +77,7 @@ def test_identity_quadratic_form(family):
 
 def test_first_order_quadratic_form(family):
     # a(x, xi) = xi: integration by parts gives t^lam*xi0 for real profiles
-    P = SymbolExpansion((HomogeneousTerm(1.0, parse_coeff("1"), h_minus=-1.0, h_plus=1.0),))
+    P = HomogeneousTerm(1.0, parse_coeff("1"), h_minus=-1.0, h_plus=1.0)
     for t in (2.0, 8.0, 32.0):
         val = packet_quadratic_form(family, [t], P)[0]
         target = t ** family.lam * family.xi0
@@ -96,7 +96,7 @@ def test_order_zero_forms_stay_bounded(family):
 def test_packet_path_matches_generic(family):
     varying = HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)"))
     constant = HomogeneousTerm(0.5, parse_coeff("2"))
-    for P in (SymbolExpansion((varying,)), constant):
+    for P in (varying, constant):
         for t in (2.0, 4.0, 8.0):
             p = make_packet(family, t, num_points=512)
             grid = PhysicalGrid.for_packet(family, t)
@@ -124,14 +124,17 @@ def test_half_grid_transform_matches_the_complex_product(profile, lam, xi0):
 
 
 def test_linearity_over_terms(family):
+    # the form of an expansion, by the reference over the whole symbol, is
+    # the sum of the fast forms of its terms
     t1 = HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)"))
     t2 = HomogeneousTerm(0.0, parse_coeff("0.5 + 0.2*cos(x)"))
-    both = packet_quadratic_form(family, [4.0], SymbolExpansion((t1, t2)))[0]
+    p = make_packet(family, 4.0, num_points=512)
+    both = quadratic_form(p, SymbolExpansion((t1, t2)), PhysicalGrid.for_packet(family, 4.0))
     parts = (
         packet_quadratic_form(family, [4.0], t1)[0]
         + packet_quadratic_form(family, [4.0], t2)[0]
     )
-    assert abs(both - parts) < 1e-10 * abs(both)
+    assert abs(both - parts) < 1e-8 * abs(both)
 
 
 def test_scaled_form_converges_to_leading_value(family):
