@@ -47,7 +47,7 @@ from .stats_harness import (
     variance_scaling_experiment,
 )
 from .symbols import HomogeneousTerm, SymbolExpansion, asymptotic_error_probe
-from .wave_packets import make_profile
+from .wave_packets import make_profile, sharpness_ok
 
 SCHEMA_VERSION = 1
 DEFAULT_LAMBDA = 2.0   # packet growth rate of the statistics commands without lambda_<j>
@@ -131,14 +131,13 @@ def _each(check):
 
 # One row per key with a domain: (key, check, requirement).  Packet scales
 # are >= 1, since the packets and the symbols' homogeneity need t >= 1.  The
-# profile's bridge a / (a + b) has a + b >= exp(-2 * profile_sharpness), so
-# it is 0/0 only where that underflows, from about 372.5667 on.
+# profile's sharpness takes the library's own check.
 _DOMAINS = (
     ("schema_version", lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION)),
     ("x0_grid", bool, "non-empty"),
     ("xi0", lambda v: v in (-1.0, 1.0), "1 or -1"),
     (
-        "profile_sharpness", lambda v: v > 0.0 and math.exp(-2.0 * v) > 0.0,
+        "profile_sharpness", sharpness_ok,
         "> 0 and small enough that exp(-2 * profile_sharpness) > 0 (below 372.5667)",
     ),
     ("subtract", lambda v: v in ("oracle", "self", "both"), "oracle, self or both"),
@@ -265,7 +264,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultRow:
     term_index: int
     parameter: float
@@ -405,18 +404,18 @@ def _cmd_recover(cfg: ExperimentConfig):
         n_nodes=cfg.average_nodes or None,
         noise=cfg.noise,
     )
-    # Only the first trial's trajectories are plotted; the others would hold
-    # every node's contribution for every row.
+    # Each trial's rows, and the errors grouped by term and by (term, x0) in
+    # row order, are taken as the trial runs.  Only the first trial's
+    # trajectories are plotted; the others would hold every node's
+    # contribution for every row.
     seeds = child_seeds(cfg.seed, np.arange(cfg.trials), "recover-trial")
-    reports = [
-        session.run_seed(seed, noise, trajectories=trial == 0)
-        for trial, (seed, noise) in enumerate(zip(seeds.tolist(), session.trial_noise(seeds)))
-    ]
-
-    # the same pass groups the errors by term and by (term, x0), in row order
     rows = []
     by_term, by_point = defaultdict(list), defaultdict(list)
-    for report in reports:
+    alerts = 0
+    for trial, (seed, noise) in enumerate(zip(seeds.tolist(), session.trial_noise(seeds))):
+        report = session.run_seed(seed, noise, trajectories=trial == 0)
+        if trial == 0:
+            trajectories = report.trajectories
         for r in report.rows:
             rows.append(
                 ResultRow(
@@ -426,6 +425,7 @@ def _cmd_recover(cfg: ExperimentConfig):
             )
             by_term[r.term_index].append(r.abs_error)
             by_point[(r.term_index, r.x0)].append(r.abs_error)
+            alerts += r.abs_error > cfg.alert_threshold
 
     per_term = {}
     for j in range(1, plan.k_beta + 1):
@@ -447,7 +447,7 @@ def _cmd_recover(cfg: ExperimentConfig):
         "subtract": cfg.subtract,
         "trials": cfg.trials,
         "per_term": per_term,
-        "alerts": sum(r.abs_error > cfg.alert_threshold for rep in reports for r in rep.rows),
+        "alerts": alerts,
     }
 
     plots = {}
@@ -463,7 +463,7 @@ def _cmd_recover(cfg: ExperimentConfig):
         )
         # running t-average of the first trial at the first grid point
         key = (session.plotted_mode, j, cfg.x0_grid[0])
-        nodes, contributions = reports[0].trajectories[key]
+        nodes, contributions = trajectories[key]
         running = np.cumsum(contributions).real / np.arange(1, nodes.size + 1)
         plots[f"recover_term{j}_trajectory"] = (
             {"t": nodes, "running_average": running},

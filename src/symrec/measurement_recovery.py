@@ -309,6 +309,10 @@ def spline_form_sums(
     cancels.  Below the grid hull c is its value at x_0 (interval 0 at
     d = 0), above it its value at the last point (the last interval at its
     width), and both take only the zeroth moment.
+
+    A block's weighted transform, offsets and moment powers are computed in
+    place, and its arrays are freed before the next block's transform is
+    evaluated, so the pass holds one block's arrays at a time.
     """
     coeff = term.coefficient
     breaks, coefs = coeff._breaks, coeff._coefs       # coefs[3 - q] goes with d^q
@@ -326,24 +330,33 @@ def spline_form_sums(
     for lo in range(0, nodes.size, block):
         ts = nodes[lo : lo + block]
         # (part, node, y) layout: y is ascending, so each node's buckets come in runs
-        g = np.stack(spectral_transform(family, term, ts)) * profile.y_weights[:, None]
-        g = g.transpose(0, 2, 1).reshape(2, -1)
+        s_re, s_im = spectral_transform(family, term, ts)
+        g = np.empty((2, ts.size, profile.y.size))
+        np.multiply(s_re.T, profile.y_weights, out=g[0])
+        np.multiply(s_im.T, profile.y_weights, out=g[1])
+        del s_re, s_im
+        g = g.reshape(2, -1)
         delta = np.outer(1.0 / ts, profile.y)
         bucket = np.searchsorted(edges, delta, side="right")   # 0: below every edge
-        u = (delta - edges[np.maximum(bucket - 1, 0)]).ravel()
         new_run = np.ones(bucket.shape, dtype=bool)
         new_run[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
         starts = np.flatnonzero(new_run)
         # runs grouped by bucket, in node order, for pairwise sums over nodes
         run_bucket = bucket.ravel()[starts]
+        bucket -= 1
+        np.maximum(bucket, 0, out=bucket)
+        delta -= edges[bucket]
+        u = delta.ravel()
+        del bucket, new_run
         order = np.argsort(run_bucket, kind="stable")
         hit, first = np.unique(run_bucket[order], return_index=True)
         run_weight = weights[lo + starts[order] // profile.y.size]
         for p in range(4):
             if p:
-                g = g * u
+                g *= u
             run = np.add.reduceat(g, starts, axis=1)[:, order] * run_weight
             moments[p][:, hit] += np.add.reduceat(run, first, axis=1)
+        del g, delta, u
 
     # Per (base point, bucket): the interval m (-1 below the hull, n - 1
     # above it) and the shift s of the bucket's left edge into it.

@@ -128,7 +128,8 @@ def packet_quadratic_form(
     (a complex coefficient gives complex parts, and sum c S = sum c Re S +
     i sum c Im S).  A block holds as many nodes as fit ``BLOCK_ENTRIES``
     (y, node) entries.  An array ``x0`` adds a leading base-point axis to
-    the result.
+    the result.  The parts are weighted in place, and a block's arrays are
+    freed before the next block's transform is evaluated.
     """
     profile = family.profile
     x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))
@@ -138,13 +139,17 @@ def packet_quadratic_form(
     weights = profile.y_weights[:, None]
     for lo in range(0, t_nodes.size, block):
         ts = t_nodes[lo : lo + block]
-        s_re, s_im = (weights * part for part in spectral_transform(family, term, ts))
+        s_re, s_im = spectral_transform(family, term, ts)
+        s_re *= weights
+        s_im *= weights
         offsets = np.outer(profile.y, 1.0 / ts)                 # (y, k)
         for i, base in enumerate(x0s):
             cvals = np.asarray(term.coefficient(base + offsets))
             re = np.einsum("yk,yk->k", cvals, s_re)
             im = np.einsum("yk,yk->k", cvals, s_im)
+            del cvals
             out[i, lo : lo + block] += re + 1j * im
+        del s_re, s_im, offsets
     return out if np.ndim(x0) else out[0]
 
 

@@ -11,6 +11,7 @@ to unit L2 norm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,13 @@ def bridge_sigma(r: np.ndarray, sharpness: float = 1.0) -> np.ndarray:
     return out
 
 
+def sharpness_ok(sharpness: float) -> bool:
+    """Whether ``bridge_sigma`` is defined at this sharpness: it is positive,
+    and a + b >= exp(-2 * sharpness) does not underflow to 0, which it does
+    from about 372.5667 on and makes the bridge 0/0."""
+    return sharpness > 0.0 and math.exp(-2.0 * sharpness) > 0.0
+
+
 class PacketProfile:
     """Shared cutoff data: normalization, tabulated physical profile, and
     the fixed unit-scale grids used by packet quadratures.
@@ -61,8 +69,11 @@ class PacketProfile:
     """
 
     def __init__(self, sharpness: float = 1.0):
-        if not (sharpness > 0.0):
-            raise ValueError("wave_packets: bridge sharpness must be positive")
+        if not sharpness_ok(sharpness):
+            raise ValueError(
+                "wave_packets: bridge sharpness must be positive and keep "
+                f"exp(-2 * sharpness) > 0 (below 372.5667), got {sharpness!r}"
+            )
         self.sharpness = float(sharpness)
 
         # Gauss-Legendre on [0, 1].  chi_hat is C-infinity, so the rule

@@ -309,10 +309,10 @@ class TestBasisOracle:
         )
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
-    def test_oracle_memory_follows_the_block_not_the_batch(self, base_family):
+    def test_oracle_memory_follows_the_block_not_the_batch(self, base_family, traced_peak):
         # the noise-stats design: its 1000 samples are one draw batch of
         # 4.9 M entries of X (70 x 70 per sample)
-        peak = _traced_peak(
+        peak = traced_peak(
             basis_oracle_batch, base_family, self.NODES, self.BETA,
             child_seed(9, "oracle"), 1000,
         )
@@ -592,15 +592,6 @@ def test_tiled_bands_equal_the_one_gram_route(profile, xi0, x0, beta, rows):
     assert np.array_equal(kernel.banded, _multiply_route_bands(family, nodes, beta))
 
 
-def _traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_kernel_build_peak_is_six_blocks_plus_the_bands(profile):
     # certify's largest build.  One tile's working set fits six float64
     # blocks: its patch (the tile and its neighbours), the chi_hat
@@ -620,8 +611,8 @@ def test_kernel_build_peak_is_six_blocks_plus_the_bands(profile):
     assert peak <= 6 * 8 * BLOCK_ENTRIES + 2 * kernel.banded.nbytes
 
 
-def test_kernel_memory_follows_the_tile_not_the_node_count(profile):
+def test_kernel_memory_follows_the_tile_not_the_node_count(profile, traced_peak):
     family = WavePacketFamily(x0=-0.5, xi0=1.0, lam=README_LAM, profile=profile)
-    tiled = _traced_peak(build_kernel, family, README_NODES, 0.0)
-    one_gram = _traced_peak(_multiply_route_bands, family, README_NODES, 0.0)
+    tiled = traced_peak(build_kernel, family, README_NODES, 0.0)
+    one_gram = traced_peak(_multiply_route_bands, family, README_NODES, 0.0)
     assert tiled < one_gram / 3

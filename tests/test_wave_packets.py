@@ -10,6 +10,7 @@ from symrec.wave_packets import (
     WavePacketFamily,
     bridge_sigma,
     lattice_spacing_for,
+    make_profile,
 )
 
 from reference_quadrature import (
@@ -25,6 +26,15 @@ def test_bridge_plateaus(profile):
     assert profile.chi_hat(np.array([0.0]))[0] == profile.b
     assert profile.chi_hat(np.array([1.1]))[0] == 0.0
     assert profile.chi_hat(np.array([-1.1]))[0] == 0.0
+
+
+@pytest.mark.parametrize("sharpness", [0.0, -1.0, 372.567, 400.0, 1e6])
+def test_profile_rejects_a_sharpness_whose_bridge_underflows(sharpness):
+    # from about 372.5667 on, exp(-2 * sharpness) underflows and the bridge
+    # a / (a + b) is 0/0; the profile names the value instead of failing in
+    # its radius scan
+    with pytest.raises(ValueError, match=f"sharpness .*got {sharpness!r}"):
+        make_profile(sharpness)
 
 
 def _guarded_bridge_sigma(r, sharpness):
