@@ -22,7 +22,6 @@ import math
 import sys
 import time
 import typing
-from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -404,32 +403,28 @@ def _cmd_recover(cfg: ExperimentConfig):
         n_nodes=cfg.average_nodes or None,
         noise=cfg.noise,
     )
-    # Each trial's rows, and the errors grouped by term and by (term, x0) in
-    # row order, are taken as the trial runs.  Only the first trial's
-    # trajectories are plotted; the others would hold every node's
-    # contribution for every row.
+    # Rows are built trial by trial; only the first trial's trajectories are
+    # plotted.  The errors, shaped (trial, subtraction, term, grid point) in
+    # row order, give the per-term figures, alerts and error plots, each
+    # mean taken over a contiguous copy so that it sums in row order.
     seeds = child_seeds(cfg.seed, np.arange(cfg.trials), "recover-trial")
     rows = []
-    by_term, by_point = defaultdict(list), defaultdict(list)
-    alerts = 0
-    for trial, (seed, noise) in enumerate(zip(seeds.tolist(), session.trial_noise(seeds))):
-        report = session.run_seed(seed, noise, trajectories=trial == 0)
+    for trial, report in enumerate(session.run_trials(seeds)):
         if trial == 0:
             trajectories = report.trajectories
-        for r in report.rows:
-            rows.append(
-                ResultRow(
-                    r.term_index, r.x0, r.estimate.real, r.estimate.imag, r.truth,
-                    r.abs_error, float("nan"), float("nan"), r.seed,
-                )
-            )
-            by_term[r.term_index].append(r.abs_error)
-            by_point[(r.term_index, r.x0)].append(r.abs_error)
-            alerts += r.abs_error > cfg.alert_threshold
+        rows += [
+            ResultRow(r.term_index, r.x0, r.estimate.real, r.estimate.imag, r.truth,
+                      r.abs_error, float("nan"), float("nan"), r.seed)
+            for r in report.rows
+        ]
+    errors = np.array([r.error for r in rows]).reshape(
+        cfg.trials, -1, plan.k_beta, len(cfg.x0_grid)
+    )
 
     per_term = {}
+    plots = {}
     for j in range(1, plan.k_beta + 1):
-        errs = np.array(by_term[j])
+        errs = errors[:, :, j - 1].ravel()
         per_term[str(j)] = {
             "mode": plan.mode(j),
             "lambda": plan.lam(j),
@@ -437,6 +432,19 @@ def _cmd_recover(cfg: ExperimentConfig):
             "max_error": float(errs.max()),
             "within_alert": float(np.mean(errs <= cfg.alert_threshold)),
         }
+        by_x0 = [errors[:, :, j - 1, i].ravel() for i in range(len(cfg.x0_grid))]
+        plots[f"recover_term{j}_error"] = (
+            {"x0": cfg.x0_grid, "mean_error": [e.mean() for e in by_x0],
+             "max_error": [e.max() for e in by_x0]},
+            f"term {j} absolute error vs x0 (mode {plan.mode(j)})",
+        )
+        # running t-average of the first trial at the first grid point
+        nodes, contributions = trajectories[j]
+        running = np.cumsum(contributions).real / np.arange(1, nodes.size + 1)
+        plots[f"recover_term{j}_trajectory"] = (
+            {"t": nodes, "running_average": running},
+            f"term {j} running average over the packet scale (first trial)",
+        )
     summary = {
         "command": "recover",
         "j_beta": plan.j_beta,
@@ -447,28 +455,8 @@ def _cmd_recover(cfg: ExperimentConfig):
         "subtract": cfg.subtract,
         "trials": cfg.trials,
         "per_term": per_term,
-        "alerts": alerts,
+        "alerts": int(np.count_nonzero(errors > cfg.alert_threshold)),
     }
-
-    plots = {}
-    for j in range(1, plan.k_beta + 1):
-        errs_by_x0 = []
-        for x0 in cfg.x0_grid:
-            vals = by_point[(j, x0)]
-            errs_by_x0.append((x0, float(np.mean(vals)), float(np.max(vals))))
-        arr = np.array(errs_by_x0)
-        plots[f"recover_term{j}_error"] = (
-            {"x0": arr[:, 0], "mean_error": arr[:, 1], "max_error": arr[:, 2]},
-            f"term {j} absolute error vs x0 (mode {plan.mode(j)})",
-        )
-        # running t-average of the first trial at the first grid point
-        key = (session.plotted_mode, j, cfg.x0_grid[0])
-        nodes, contributions = trajectories[key]
-        running = np.cumsum(contributions).real / np.arange(1, nodes.size + 1)
-        plots[f"recover_term{j}_trajectory"] = (
-            {"t": nodes, "running_average": running},
-            f"term {j} running average over the packet scale (first trial)",
-        )
     return rows, summary, plots
 
 

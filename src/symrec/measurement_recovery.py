@@ -27,10 +27,10 @@ quadrature.  Only the plotted trajectory (subtract = self, at x0_grid[0])
 needs node-length forms: those of the terms recovered in that trial,
 evaluated pointwise like any other coefficient.
 
-A session draws the trials' noise before it runs them: per design, the
-stream keys of every (trial, grid point) pair are derived in one call and
-drawn in one batch (``RecoverySession.trial_noise``), and each trial
-(``run_seed``) takes its own entry.
+A session's trials (``RecoverySession.run_trials``) take their noise from
+one batch per design, whose stream keys for every (trial, grid point) pair
+are derived in one call; each trial (``run_seed``) takes its own entry,
+and only the first keeps its trajectories, one per term.
 """
 
 from __future__ import annotations
@@ -399,7 +399,7 @@ class RecoveryRow:
 
 @dataclass
 class EstimatorReport:
-    """Per-term recovery results plus plot-ready trajectories."""
+    """Per-term recovery results plus plot-ready trajectories, keyed by term."""
 
     rows: list
     trajectories: dict = field(default_factory=dict)
@@ -483,7 +483,7 @@ class RecoverySession:
                     design.family, design.nodes, design.weights, term, self.x0_grid
                 )
         # u = L^T w, and with it the factor, is formed with the session, so
-        # the set-up is all here and ``trial_noise`` only draws.
+        # the set-up is all here and ``run_trials`` only draws.
         for design in self.designs.values():
             if design.kernel is not None:
                 design.noise_weights
@@ -503,12 +503,12 @@ class RecoverySession:
             **side,
         )
 
-    def trial_noise(self, seeds) -> list:
-        """Every trial's noise, one dict per seed: term j to the estimates'
-        noise u @ z over the grid points i, z the white draw of
-        ``sample_path(kernel, child_seed(seed, "recover", j, i))``.  For each
-        design the stream keys of all (trial, grid point) pairs are derived
-        in one call and drawn in one batch (``TermDesign.keyed_noise``)."""
+    def run_trials(self, seeds):
+        """``run_seed`` for each seed in order, the first with trajectories; a
+        generator, so one report is held at a time.  Term j's noise at grid
+        point i is u @ z, z the white draw of ``sample_path(kernel,
+        child_seed(seed, "recover", j, i))``, all drawn first: one key
+        derivation and one batch per design (``TermDesign.keyed_noise``)."""
         seeds = np.asarray(seeds, dtype=np.uint64)
         grid = np.arange(self.x0_grid.size)
         draws = {
@@ -517,15 +517,16 @@ class RecoverySession:
             ))
             for j, design in self.designs.items()
         }
-        return [{j: noise[t] for j, noise in draws.items()} for t in range(seeds.size)]
+        for t, seed in enumerate(seeds.tolist()):
+            yield self.run_seed(seed, {j: v[t] for j, v in draws.items()}, t == 0)
 
     def run_seed(self, seed: int, noise: dict, trajectories: bool = True) -> EstimatorReport:
-        """One trial: ``noise`` (the trial's entry of ``trial_noise(seeds)``)
-        on every signal, the estimate and its error per (subtraction, term,
-        grid point).  With ``trajectories`` the report also keeps the
-        per-node contributions of the plotted mode's estimates at
-        x0_grid[0], whose noise is the full path L z of the same draw z; the
-        estimates take only u @ z either way."""
+        """One trial: ``noise`` (term j to its noise over the grid points, as
+        ``run_trials`` draws it) on every signal, the estimate and its error
+        per (subtraction, term, grid point).  With ``trajectories`` the report
+        also keeps, per term, the per-node contributions of the plotted mode's
+        estimate at x0_grid[0], whose noise is the full path L z of the same
+        draw z; the estimates take only u @ z either way."""
         report = EstimatorReport([])
         for subtract in self.modes:
             recovered = []
@@ -552,7 +553,7 @@ class RecoverySession:
                     path = 0.0 if design.kernel is None else sample_path(
                         design.kernel, child_seed(seed, "recover", j, 0)
                     )
-                    report.trajectories[(subtract, j, float(self.x0_grid[0]))] = (
+                    report.trajectories[j] = (
                         design.nodes,
                         design.weights * (signal + path) * design.nodes.size,
                     )

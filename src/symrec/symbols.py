@@ -28,8 +28,9 @@ def _smoothstep_quintic(u: np.ndarray) -> np.ndarray:
 
 def low_freq_cutoff(r: np.ndarray) -> np.ndarray:
     """Radial cutoff psi: 0 on |xi| <= 1/4, 1 on |xi| >= 1/2, quintic
-    smoothstep between.  Packet spectra never reach |xi| < 1/2, so no packet
-    experiment sees the bridge.
+    smoothstep between.  A packet's spectrum lies above |xi| = t^lam - t, so
+    it misses the bridge only when t^lam - t >= 1/2; at t = 1, the smallest
+    admitted scale, it reaches down to |xi| = 1/256 on the eta grid.
     """
     r = np.abs(np.asarray(r, dtype=float))
     out = np.ones_like(r)

@@ -117,10 +117,8 @@ class PacketProfile:
         vals = np.abs(self._chi_exact(coarse))
         peak = vals[0]
         above12 = np.nonzero(vals > 1e-12 * peak)[0]
-        above10 = np.nonzero(vals > 1e-10 * peak)[0]
         above6 = np.nonzero(vals > 1e-6 * peak)[0]
         self.radius_cache = float(coarse[above12[-1]]) + coarse[1]
-        self.support_radius = float(coarse[above10[-1]]) + coarse[1]
         # |chi * S| tails scale like |chi|^2, so packet quadratures may stop
         # where the envelope reaches 1e-6 of the peak.
         self.tail_radius = float(coarse[above6[-1]]) + coarse[1]
@@ -128,7 +126,6 @@ class PacketProfile:
         grid = np.linspace(0.0, self.radius_cache, _CHI_CACHE_POINTS)
         values = self._chi_exact(grid)
         self._chi_spline = splines.not_a_knot(grid, values)
-        self.chi0 = float(values[0])
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         """Physical profile, interpolated from the cache (real and even)."""

@@ -20,6 +20,7 @@ overlap decay by an independent route, the generic nested quadrature
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +29,20 @@ from scipy.integrate import simpson
 from symrec.errors import NumericalError
 from symrec.noise_engine import JapaneseBracketWeight
 from symrec.symbols import SymbolExpansion
-from symrec.wave_packets import TWO_PI, WavePacketFamily, lattice_spacing_for
+from symrec.wave_packets import (
+    _CHI_SCAN_MAX, _CHI_SCAN_POINTS, TWO_PI, WavePacketFamily, lattice_spacing_for,
+)
+
+
+@lru_cache(maxsize=None)
+def support_radius_and_chi0(profile) -> tuple:
+    """The profile's support radius and chi(0), both from ``_chi_exact`` on
+    the profile's coarse radius scan: the radius is one scan step past the
+    last point where |chi| exceeds 1e-10 chi(0)."""
+    scan = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
+    chi = profile._chi_exact(scan)
+    last = np.nonzero(np.abs(chi) > 1e-10 * abs(chi[0]))[0][-1]
+    return float(scan[last]) + scan[1], float(chi[0])
 
 
 @dataclass(frozen=True)
@@ -247,7 +261,7 @@ def make_packet(
 def brute_force_overlap(family, t, s, n=400_001):
     """Physical-space quadrature of integral conj(f_t) f_s dx."""
     prof = family.profile
-    radius = prof.support_radius / min(t, s)
+    radius = support_radius_and_chi0(prof)[0] / min(t, s)
     x = np.linspace(family.x0 - radius, family.x0 + radius, n)
     rel = x - family.x0
     phase = np.exp(1j * (s ** family.lam - t ** family.lam) * rel * family.xi0)
@@ -312,7 +326,7 @@ class PhysicalGrid:
 
     @classmethod
     def for_packet(cls, family: WavePacketFamily, t: float) -> "PhysicalGrid":
-        return cls(family.x0, family.profile.support_radius / t)
+        return cls(family.x0, support_radius_and_chi0(family.profile)[0] / t)
 
 
 def quadratic_form(f: SpectralPatch, P, x_grid: PhysicalGrid) -> complex:

@@ -186,8 +186,8 @@ def test_criterion_7_end_to_end_recovery(two_term):
     good = 0
     worst = 0.0
     seeds = [child_seed(107, seed, "accept") for seed in range(100)]
-    for seed, noise in zip(seeds, session.trial_noise(seeds)):
-        errs = oracle_errors(session.run_seed(seed, noise))
+    for trial in session.run_trials(seeds):
+        errs = oracle_errors(trial)
         worst = max(worst, float(errs.max()))
         if errs.max() < 0.1:
             good += 1

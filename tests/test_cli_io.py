@@ -41,6 +41,14 @@ symbol_2_coeff = 0.5 + 0.2*cos(x)
 """
 
 
+# Three recoverable orders for the two-term symbol: the plan pads term 3
+# with a zero coefficient.  lambda_2 keeps term 2's average under the node
+# cap at scale 8.
+PADDED_CFG = TWO_TERM_CFG.replace(
+    "orders = 1.0, 0.0, -1.0", "orders = 1.0, 0.0, -0.25, -1.0"
+) + "lambda_2 = 2.5\nlambda_3 = 2\n"
+
+
 def _fresh_python(code: str) -> str:
     """Run ``code`` in a new interpreter that imports this package; return its
     stripped stdout."""
@@ -185,6 +193,32 @@ class TestCommands:
             term = [float(r["error"]) for r in rows if r["term_index"] == j]
             within = sum(e <= threshold for e in term) / len(term)
             assert summary["per_term"][j]["within_alert"] == within
+
+    def test_recover_pads_the_symbol_to_the_plan(self, tmp_path):
+        path = tmp_path / "padded.cfg"
+        path.write_text(PADDED_CFG)
+        out = tmp_path / "out"
+        assert main(["recover", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        assert json.loads((out / "recover_summary.json").read_text())["k_beta"] == 3
+        lines = (out / "recover_rows.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        padded = [r for r in rows if r["term_index"] == "3"]
+        assert len(padded) == 2 * 5  # trials * grid points
+        assert all(float(r["truth"]) == 0.0 for r in padded)
+
+    def test_rate_on_a_padded_term(self, tmp_path):
+        # with the noise off, the padded term's estimates equal its zero
+        # truth exactly, so even eps = 1e-12 certifies at the first scale
+        path = tmp_path / "padded.cfg"
+        path.write_text(
+            PADDED_CFG + "noise = false\ngrid = 4, 6, 8\nrate_eps = 1e-12\n"
+            + "rate_delta = 0.1\ntrials = 200\nterm = 3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["rate", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "rate_summary.json").read_text())
+        assert summary["certificates"] == [{"eps": 1e-12, "delta": 0.1, "n0": 4.0}]
 
     def test_malformed_orders_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -39,9 +39,9 @@ def estimate(model, plan, j, N, seed=0, noise=True, n_nodes=None):
     return complex(value + design.keyed_noise(keys))
 
 
-def run_trial(session, seed, trajectories=True):
-    """session.run_seed for one seed, with that seed's batched noise."""
-    return session.run_seed(seed, session.trial_noise([seed])[0], trajectories)
+def run_trial(session, seed):
+    """The report of one trial, with its trajectories."""
+    return next(session.run_trials([seed]))
 
 
 def oracle_errors(report) -> np.ndarray:
@@ -275,8 +275,9 @@ def test_noise_batch_does_not_depend_on_the_worker_limit(two_term_model, two_ter
 def test_session_noise_is_each_trial_point_stream_drawn_in_one_batch(
     two_term_model, two_term_plan
 ):
-    # the recover CLI's trial seeds, then one batch per design: each value is
-    # the draw of the stream that the trial and grid point key on their own
+    # the recover CLI's trial seeds, then one batch per design: each trial's
+    # oracle estimates carry the draws of the streams that the trial and grid
+    # point key on their own
     session = RecoverySession(two_term_model, two_term_plan, np.linspace(-0.5, 0.5, 5), 8.0)
     seed, trials = 29, 7
     trial_seeds = child_seeds(seed, np.arange(trials), "recover-trial")
@@ -292,12 +293,14 @@ def test_session_noise_is_each_trial_point_stream_drawn_in_one_batch(
         for j, design in session.designs.items()
     }
     with worker_limit(1):
-        serial = session.trial_noise(trial_seeds)
-    pooled = session.trial_noise(trial_seeds)
-    for noise in (serial, pooled):
-        assert len(noise) == trials
-        for j in session.designs:
-            assert np.array_equal(np.array([n[j] for n in noise]), want[j])
+        serial = list(session.run_trials(trial_seeds))
+    pooled = list(session.run_trials(trial_seeds))
+    for reports in (serial, pooled):
+        assert len(reports) == trials
+        for t, report in enumerate(reports):
+            for j in session.designs:
+                got = [r.estimate for r in report.rows if r.term_index == j]
+                assert np.array_equal(got, session.oracle_estimates[j] + want[j][t])
 
 
 def test_session_factors_every_noisy_design_before_any_trial(two_term_model, two_term_plan):
@@ -312,20 +315,23 @@ def test_session_factors_every_noisy_design_before_any_trial(two_term_model, two
 def test_trajectory_trial_rows_are_their_plotted_means(two_term_model, two_term_plan):
     # the plotted contributions carry the full path L z, the rows u @ z of
     # the same draw; rows do not depend on whether trajectories are kept.
-    # Only the plotted mode (oracle under both) at the first grid point is kept.
+    # Only the plotted mode (oracle under both) at the first grid point is
+    # kept, per term, and only by the first trial: a seed's draws follow the
+    # seed, so a repeated seed repeats its rows without them.
     grid = [-0.25, -0.5, 0.0, 0.25]
     for mode, plotted in (("both", "oracle"), ("self", "self")):
         session = RecoverySession(
             two_term_model, two_term_plan, grid, 8.0, subtract_mode=mode
         )
-        report = run_trial(session, 5, trajectories=True)
-        assert sorted(report.trajectories) == [(plotted, 1, -0.25), (plotted, 2, -0.25)]
+        report, again = session.run_trials([5, 5])
+        assert sorted(report.trajectories) == [1, 2]
+        assert again.trajectories == {}
         for r in report.rows:
-            if (r.subtract, r.term_index, r.x0) in report.trajectories:
-                _, contributions = report.trajectories[(r.subtract, r.term_index, r.x0)]
+            if r.subtract == plotted and r.x0 == grid[0]:
+                _, contributions = report.trajectories[r.term_index]
                 mean = np.mean(contributions)
                 assert abs(r.estimate - mean) <= 1e-12 * abs(mean)
-        assert run_trial(session, 5, trajectories=False).rows == report.rows
+        assert again.rows == report.rows
 
 
 @pytest.fixture(scope="module")
@@ -414,7 +420,7 @@ def test_cardinal_sums_match_the_pointwise_form(two_term_model, two_term_plan, g
 
 def test_session_rows_carry_the_truth_at_their_base_point(self_session, two_term_model):
     # the truths are computed once per session; every row must still get its own
-    rows = run_trial(self_session, 3, trajectories=False).rows
+    rows = run_trial(self_session, 3).rows
     assert len(rows) == 2 * 2 * 5  # modes * terms * grid points
     for r in rows:
         assert r.truth == two_term_model.truth(r.term_index, r.x0).real

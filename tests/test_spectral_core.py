@@ -16,6 +16,7 @@ from reference_quadrature import (
     l2_norm,
     make_packet,
     physical_norm,
+    support_radius_and_chi0,
 )
 
 
@@ -126,7 +127,7 @@ def test_positivity(rng):
 
 def test_plancherel_consistency(family):
     p = make_packet(family, 2.0)
-    radius = family.profile.support_radius / 2.0
+    radius = support_radius_and_chi0(family.profile)[0] / 2.0
     x = np.linspace(family.x0 - radius, family.x0 + radius, 4096)
     assert abs(physical_norm(p, x) - l2_norm(p)) < 1e-4
 
@@ -136,7 +137,7 @@ def test_evaluate_physical_at_center(family):
     for t in (2.0, 8.0):
         p = make_packet(family, t)
         val = evaluate_physical(p, np.array([family.x0]))[0]
-        target = t ** 0.5 * family.profile.chi0
+        target = t ** 0.5 * support_radius_and_chi0(family.profile)[1]
         assert abs(val - target) < 1e-8 * abs(target)
 
 

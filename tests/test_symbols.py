@@ -13,7 +13,9 @@ from symrec.symbols import (
 )
 from symrec.wave_packets import WavePacketFamily
 
-from reference_quadrature import PhysicalGrid, make_packet, quadratic_form
+from reference_quadrature import (
+    PhysicalGrid, make_packet, quadratic_form, support_radius_and_chi0,
+)
 
 
 def slope_of(probe):
@@ -50,6 +52,23 @@ def test_cutoff_plateaus():
     mid = low_freq_cutoff(np.linspace(0.26, 0.49, 20))
     assert np.all((mid > 0) & (mid < 1))
     assert np.all(np.diff(mid) > 0)
+
+
+@pytest.mark.parametrize(
+    "t, lam, seen", [(1.0, 2.0, True), (1.0, 4.5, True), (1.3, 2.0, True), (1.37, 2.0, False)]
+)
+def test_packet_spectra_see_the_cutoff_bridge_unless_t_lam_minus_t_is_one_half(
+    profile, t, lam, seen
+):
+    # spectral_transform's frequencies at scale t are t^lam xi0 + t eta over
+    # the eta grid (|eta| < 1): the smallest |xi| is 1/256 at t = 1, 0.395
+    # at t = 1.3 and 0.512 at t = 1.37 (lam = 2)
+    xi = t ** lam + t * profile.eta
+    psi = HomogeneousTerm(0.0, parse_coeff("1")).spectral_factor(xi)
+    assert (t ** lam - t >= 0.5) is not seen
+    assert bool(np.any(psi < 1.0)) is seen
+    if t == 1.0:
+        assert np.min(np.abs(xi)) == pytest.approx(1 / 256)
 
 
 def test_zero_frequency_is_zero_even_for_negative_order():
@@ -148,7 +167,8 @@ def test_scaled_form_converges_to_leading_value(family):
 def test_tail_breach_signals(family):
     term = HomogeneousTerm(1.0, parse_coeff("1 + 0.2*sin(x)"))
     p = make_packet(family, 4.0)
-    tiny = PhysicalGrid(family.x0, 0.05 * family.profile.support_radius / 4.0, 256)
+    radius = support_radius_and_chi0(family.profile)[0]
+    tiny = PhysicalGrid(family.x0, 0.05 * radius / 4.0, 256)
     with pytest.raises(NumericalError, match="tail"):
         quadratic_form(p, SymbolExpansion((term,)), tiny)
 

@@ -18,6 +18,7 @@ from reference_quadrature import (
     inner_product_sobolev,
     make_packet,
     packet_overlap_decay,
+    support_radius_and_chi0,
 )
 
 
@@ -131,14 +132,15 @@ def test_gauss_legendre_transform_matches_simpson(profile):
     scan = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
     oracle = _chi_simpson(profile, scan)
     assert np.max(np.abs(profile._chi_exact(scan) - oracle)) < 1e-13 * oracle[0]
-    assert abs(profile.chi0 - oracle[0]) < 1e-13 * oracle[0]
+    support_radius, chi0 = support_radius_and_chi0(profile)
+    assert abs(chi0 - oracle[0]) < 1e-13 * oracle[0]
 
     def radius(threshold):
         last = np.nonzero(np.abs(oracle) > threshold * oracle[0])[0][-1]
         return float(scan[last]) + scan[1]
 
     assert profile.radius_cache == radius(1e-12)
-    assert profile.support_radius == radius(1e-10)
+    assert support_radius == radius(1e-10)
     assert profile.tail_radius == radius(1e-6)
     # the spline cache between its knots
     assert np.max(np.abs(profile.chi(profile.y) - _chi_simpson(profile, profile.y))) < (
