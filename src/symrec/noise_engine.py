@@ -5,15 +5,18 @@ symmetric complex Gaussian family whose covariance between scales t and s
 is |(f_t|f_s)_beta|^2 and whose pseudo-covariance vanishes identically
 (the spectral supports of a packet and a conjugated packet never meet).
 
-Sampling goes through a factor L of the covariance kernel (L L^T = C):
-exact for any finite node set and O(K^2) at worst.  Up to ``_DENSE_LIMIT``
-nodes L is the symmetric root V sqrt(Lambda) V^T, kept as the eigenvectors
-V and the root eigenvalues sqrt(Lambda) and applied as two products with V,
-never multiplied out; above it L is the banded Cholesky factor.  A full
-path L z is formed only where the path itself is the output (``sample_path``,
-``sample_paths``).  An estimate needs only the weighted sum w @ (L z) =
-u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``), which
-``TermDesign.keyed_noise`` draws for a batch of stream keys with
+Sampling goes through a factor L of the covariance kernel (L L^T = C),
+exact for any finite node set, and reads only the kernel's bands.  Up to
+``_DENSE_LIMIT`` nodes L is the symmetric root C^(1/2), applied as a
+double-exponential quadrature of (2/pi) C int_0^inf (t^2 I + C)^(-1) dt
+(Hale, Higham and Trefethen, SIAM J. Numer. Anal. 46, 2008): one banded
+Cholesky solve with C + t_k^2 I per node, the rule certified at C's
+eigenvalues, which LAPACK's banded driver computes without eigenvectors, so
+no n x n array is formed.  Above the limit L is the banded Cholesky factor.
+A full path L z is formed only where the path itself is the output
+(``sample_path``, ``sample_paths``).  An estimate needs only the weighted
+sum w @ (L z) = u @ z with u = L^T w (``NoiseKernel.apply_factor_transpose``),
+which ``TermDesign.keyed_noise`` draws for a batch of stream keys with
 ``rng.complex_normal_dot``, without forming L z, the keys cut into one
 contiguous chunk per thread by ``parallel.parallel_map``.
 
@@ -52,6 +55,10 @@ from .wave_packets import BLOCK_ENTRIES, WavePacketFamily, block_rows, lattice_s
 
 _DENSE_LIMIT = 1200
 _PSD_TOL = 1e-10
+# The dense root's quadrature: steps in s, halved until the rule's error at
+# every eigenvalue is at most _ROOT_TOL * sqrt(largest eigenvalue).
+_ROOT_STEPS = 0.07 * 0.5 ** np.arange(5)
+_ROOT_TOL = 1e-15
 # Entries per basis-oracle draw batch: a batch draws all its real parts, then
 # all its imaginary parts, so this fixes which samples the stream feeds.
 _ORACLE_DRAW_BATCH = 10_000_000
@@ -179,38 +186,42 @@ class NoiseKernel:
     def factor(self):
         """A real factor L with L L^T = C, cached after the first call.
 
-        Up to ``_DENSE_LIMIT`` nodes L is the symmetric root V sqrt(Lambda) V^T,
-        cached as ("dense", (V, sqrt(Lambda))) and never multiplied out: the
-        eigenvectors from LAPACK's MRRR driver, which overwrites the dense
-        covariance, and the roots of the eigenvalues clipped at 0.  Above it,
-        ("banded", the lower banded Cholesky factor).
+        Up to ``_DENSE_LIMIT`` nodes L is the symmetric root C^(1/2), cached
+        as ("dense", (shift, t^2, weights, lam_max)): a quadrature rule r(lam) =
+        lam sum_k weights_k / (t_k^2 + lam) for sqrt(lam) over the spectrum,
+        which ``apply_factor`` turns into banded shifted solves with C.  Only
+        the eigenvalues are computed, from the band (LAPACK's banded driver,
+        O(n * bandwidth) memory); no n x n array and no eigenvector is
+        formed.  Above the limit, ("banded", the lower banded Cholesky
+        factor).  Either factor is of C + shift I, the shift the first rung
+        of the jitter ladder (0, 1e-14, 1e-12, 1e-10 times the trace) at
+        which the kernel is positive definite.
         """
         if self._factor is not None:
             return self._factor
-        if self.size <= _DENSE_LIMIT:
-            # the transpose of the symmetric C is a Fortran-ordered view that
-            # LAPACK overwrites without a copy; build_kernel's bands are
-            # finite, so LAPACK needs no finiteness check
-            eigvals, eigvecs = scipy.linalg.eigh(
-                self.dense().T, overwrite_a=True, check_finite=False, driver="evr"
-            )
-            floor = -_PSD_TOL * max(self.trace, 1e-300)
-            if eigvals.min() < floor:
+        scale = self.trace
+        dense = self.size <= _DENSE_LIMIT
+        if dense:
+            eigvals = scipy.linalg.eig_banded(self.banded, lower=True, eigvals_only=True)
+            floor = -_PSD_TOL * max(scale, 1e-300)
+            if eigvals[0] < floor:
                 raise NumericalError(
                     "noise_engine: covariance is not PSD "
-                    f"(min eigenvalue {eigvals.min():.3e} < {floor:.3e}); "
+                    f"(min eigenvalue {eigvals[0]:.3e} < {floor:.3e}); "
                     "quadrature grids are inconsistent"
                 )
-            self._factor = ("dense", (eigvecs, np.sqrt(np.clip(eigvals, 0.0, None))))
-            return self._factor
-
-        scale = self.trace
         for jitter in (0.0, 1e-14, 1e-12, _PSD_TOL):
+            shift = jitter * scale
+            if dense and eigvals[0] + shift <= 0.0:
+                continue
             try:
-                work = self.banded.copy()
-                work[0] += jitter * scale
-                chol = scipy.linalg.cholesky_banded(work, lower=True)
-                self._factor = ("banded", chol)
+                if dense:
+                    t2, weights = _root_rule(eigvals + shift)
+                    # the solve nearest to singular must factor too
+                    _shifted_cholesky(self.banded, shift + t2[0])
+                    self._factor = ("dense", (shift, t2, weights, eigvals[-1] + shift))
+                else:
+                    self._factor = ("banded", _shifted_cholesky(self.banded, shift))
                 return self._factor
             except np.linalg.LinAlgError:
                 continue
@@ -219,13 +230,44 @@ class NoiseKernel:
             f"({_PSD_TOL:.0e} * trace); quadrature grids are inconsistent"
         )
 
+    def _apply_root(self, x: np.ndarray) -> np.ndarray:
+        """r(C') x for the real columns x, C' = C + shift I: one banded
+        Cholesky solve y_k = (C' + t_k^2 I)^(-1) x per quadrature node.  A
+        node's term w_k C' y_k is summed as w_k (x - t_k^2 y_k) where t_k^2
+        is below the largest eigenvalue of C', and as C' (w_k y_k) where it
+        is not, so the product with C' never meets the large y_k of the small
+        shifts, whose components it would have to cancel."""
+        shift, t2, weights, top = self._factor[1]
+        high = np.zeros_like(x)
+        low = np.zeros_like(x)
+        for t2_k, weight in zip(t2, weights):
+            chol = _shifted_cholesky(self.banded, shift + t2_k)
+            y = scipy.linalg.cho_solve_banded((chol, True), x)
+            if t2_k < top:
+                low += (weight * t2_k) * y
+            else:
+                high += weight * y
+        # C' high, band by band, then the low nodes' sum
+        out = (self.diagonal + shift)[:, None] * high
+        n = self.size
+        for off in range(1, self.banded.shape[0]):
+            band = self.banded[off, : n - off, None]
+            out[: n - off] += band * high[off:]
+            out[off:] += band * high[: n - off]
+        out += np.sum(weights[t2 < top]) * x
+        out -= low
+        return out
+
     def apply_factor(self, z: np.ndarray) -> np.ndarray:
         """L @ z for a batch of draws, one draw per row; for the dense factor
-        ((z V) sqrt(Lambda)) V^T, with no n x n product formed."""
+        z r(C), the rows' real and imaginary parts solved as real columns."""
         kind, mat = self.factor()
         if kind == "dense":
-            vecs, roots = mat
-            return ((z @ vecs) * roots) @ vecs.T
+            if np.iscomplexobj(z):
+                m = z.shape[0]
+                out = self._apply_root(np.concatenate([z.real.T, z.imag.T], axis=1))
+                return np.ascontiguousarray((out[:, :m] + 1j * out[:, m:]).T)
+            return np.ascontiguousarray(self._apply_root(z.T).T)
         out = np.zeros_like(z)
         n = self.size
         for d in range(min(mat.shape[0], n)):
@@ -234,16 +276,61 @@ class NoiseKernel:
 
     def apply_factor_transpose(self, w: np.ndarray) -> np.ndarray:
         """L^T @ w for one real vector, so that w @ (L z) = (L^T w) @ z; for
-        the dense factor V (sqrt(Lambda) (V^T w))."""
+        the dense factor, which is symmetric, r(C) w."""
         kind, mat = self.factor()
         if kind == "dense":
-            vecs, roots = mat
-            return vecs @ (roots * (vecs.T @ w))
+            return self._apply_root(np.asarray(w, dtype=float)[:, None])[:, 0]
         n = self.size
         out = np.zeros(n)
         for d in range(min(mat.shape[0], n)):
             out[: n - d] += mat[d, : n - d] * w[d:]
         return out
+
+
+def _shifted_cholesky(banded: np.ndarray, shift: float) -> np.ndarray:
+    """Lower banded Cholesky factor of C + shift I, C given by its bands;
+    raises ``LinAlgError`` where that is not positive definite."""
+    work = banded.copy()
+    work[0] += shift
+    return scipy.linalg.cholesky_banded(work, lower=True)
+
+
+def _root_rule(eigvals: np.ndarray):
+    """Nodes t_k^2 and weights of r(lam) = lam sum_k weights_k / (t_k^2 +
+    lam), a quadrature for sqrt(lam) over the positive ascending eigenvalues.
+
+    sqrt(lam) = (2/pi) lam int_0^inf dt / (t^2 + lam) (Hale, Higham and
+    Trefethen, SIAM J. Numer. Anal. 46, 2008), under t = sqrt(g)
+    exp((pi/2) sinh s), g = sqrt(lam_min lam_max), is a trapezoid rule in s
+    with weights step cosh(s_k) t_k.  s runs over [-5, 5], whose end terms
+    are below 1e-30 sqrt(lam_max) at eigenvalue ratios up to 1e80, and the
+    nodes whose terms stay below 1e-18 sqrt(lam_max) on [lam_min, lam_max]
+    are dropped.  The step is halved
+    from ``_ROOT_STEPS[0]`` until max |r(lam_i) - sqrt(lam_i)| <= ``_ROOT_TOL``
+    sqrt(lam_max) at every eigenvalue, which bounds ||r(C) - C^(1/2)||_2, as
+    the two share eigenvectors.  r is summed pairwise, in blocks of
+    eigenvalues.
+    """
+    lo, hi = float(eigvals[0]), float(eigvals[-1])
+    for step in _ROOT_STEPS:
+        s = step * np.arange(-round(5.0 / step), round(5.0 / step) + 1)
+        t = (lo * hi) ** 0.25 * np.exp(0.5 * np.pi * np.sinh(s))
+        weights = step * np.cosh(s) * t
+        keep = np.minimum(weights, hi * weights / t**2) > 1e-18 * np.sqrt(hi)
+        t2, weights = t[keep] ** 2, weights[keep]
+        rows = block_rows(t2.size)
+        err = 0.0
+        for i in range(0, eigvals.size, rows):
+            lam = eigvals[i : i + rows]
+            terms = np.add.outer(lam, t2)
+            np.divide(weights, terms, out=terms)
+            err = max(err, float(np.max(np.abs(lam * terms.sum(axis=1) - np.sqrt(lam)))))
+        if err <= _ROOT_TOL * np.sqrt(hi):
+            return t2, weights
+    raise NumericalError(
+        "noise_engine: the quadrature of the symmetric root misses its certificate "
+        f"({err:.3e} > {_ROOT_TOL:.0e} * sqrt(max eigenvalue)) at the smallest step"
+    )
 
 
 def build_kernel(

@@ -16,6 +16,7 @@ from symrec import noise_engine, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.measurement_recovery import adaptive_average_nodes, average_grid
 from symrec.noise_engine import (
+    _PSD_TOL,
     ORACLE_POINTS_PER_MIN_WINDOW,
     JapaneseBracketWeight,
     NoiseKernel,
@@ -34,7 +35,7 @@ from symrec.rng import (
 )
 from symrec.wave_packets import BLOCK_ENTRIES, WavePacketFamily, lattice_spacing_for
 
-from reference_quadrature import spectrum
+from reference_quadrature import inner_product_sobolev, make_packet, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -115,10 +116,26 @@ def test_pooled_functionals_equal_serial_above_blas_threading_size(rng):
     assert abs(serial[0] - want) <= 1e-12 * abs(want)
 
 
+def _at_one_blas_thread_and_the_default(code):
+    """stdout of ``code`` in two new interpreters, one with OpenBLAS on one
+    thread and one at its default (one per core); on a one-core host both
+    runs are serial."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    src = str(Path(symrec.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return [
+        subprocess.run(
+            [sys.executable, "-c", code], env={**env, **extra},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
+    ]
+
+
 def test_functionals_do_not_depend_on_the_blas_thread_count():
-    # the same draws in two new interpreters, one with OpenBLAS on one
-    # thread and one at its default (one per core); on a one-core host both
-    # runs are serial
     code = (
         "import numpy as np\n"
         "from symrec.rng import complex_normal_dot, rng_for\n"
@@ -128,20 +145,28 @@ def test_functionals_do_not_depend_on_the_blas_thread_count():
         "        z = complex_normal_dot(rng_for(5, trial, 'dot'), u)\n"
         "        print(z.real.hex(), z.imag.hex())\n"
     )
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    }
-    src = str(Path(symrec.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    runs = [
-        subprocess.run(
-            [sys.executable, "-c", code], env={**env, **extra},
-            capture_output=True, text=True, check=True,
-        ).stdout
-        for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {})
-    ]
+    runs = _at_one_blas_thread_and_the_default(code)
     assert runs[0].count("\n") == 40
+    assert runs[0] == runs[1]
+
+
+def test_dense_root_does_not_depend_on_the_blas_thread_count():
+    # certify's 640-node variance-scaling design (T = 8, lambda 2.5): u =
+    # L^T w for its uniform weights and one batch of paths L z
+    code = (
+        "import numpy as np\n"
+        "from symrec.measurement_recovery import adaptive_average_nodes, average_grid\n"
+        "from symrec.noise_engine import build_kernel, sample_paths\n"
+        "from symrec.wave_packets import WavePacketFamily, make_profile\n"
+        "family = WavePacketFamily(0.0, 1.0, 2.5, make_profile(1.0))\n"
+        "kernel = build_kernel(family, average_grid(8.0, adaptive_average_nodes(8.0, 2.5)), 0.0)\n"
+        "for x in kernel.apply_factor_transpose(np.full(kernel.size, 1.0 / kernel.size)):\n"
+        "    print(x.hex())\n"
+        "for z in sample_paths(kernel, range(4)).ravel():\n"
+        "    print(z.real.hex(), z.imag.hex())\n"
+    )
+    runs = _at_one_blas_thread_and_the_default(code)
+    assert runs[0].count("\n") == 5 * 640
     assert runs[0] == runs[1]
 
 
@@ -181,30 +206,90 @@ def test_plain_variance_slope_from_kernel(base_family):
 
 
 def _multiplied_out_root(kernel):
-    """The dense factor as it was formed before it was kept as eigenvectors
-    and root eigenvalues: numpy's eigh, then (V sqrt(Lambda)) V^T."""
+    """The dense factor as it was formed before it was applied by shifted
+    solves: numpy's eigh, then (V sqrt(Lambda)) V^T."""
     eigvals, eigvecs = np.linalg.eigh(kernel.dense())
     return (eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))) @ eigvecs.T
 
 
-# dense designs of the certify workload: rate at N = 4 and variance-scaling
-# at T = 8 (lambda 2.5), nonconvergence at T = 64 (lambda 2)
-@pytest.mark.parametrize("N, lam, n_nodes", [(4.0, 2.5, 227), (8.0, 2.5, 640), (64.0, 2.0, 1024)])
-def test_dense_factor_is_the_multiplied_out_root(profile, rng, N, lam, n_nodes):
+# dense designs of the certify workload: rate at N = 4 and N = 8 sqrt(2) and
+# variance-scaling at T = 8 (lambda 2.5), nonconvergence at T = 64 (lambda 2)
+@pytest.mark.parametrize(
+    "N, lam, n_nodes",
+    [(4.0, 2.5, 227), (8.0, 2.5, 640), (64.0, 2.0, 1024), (8.0 * 2.0**0.5, 2.5, 1077)],
+)
+def test_dense_factor_is_the_multiplied_out_root(profile, rng, traced_peak, N, lam, n_nodes):
     family = WavePacketFamily(x0=0.0, xi0=1.0, lam=lam, profile=profile)
     kernel = build_kernel(family, average_grid(N, adaptive_average_nodes(N, lam)), 0.0)
     n = kernel.size
     assert n == n_nodes
-    kind, parts = kernel.factor()
-    assert kind == "dense"
-    assert [a.shape for a in parts] == [(n, n), (n,)]   # one n x n array
     w = rng.uniform(0.5, 1.5, n)
+
+    def factor_and_transpose():
+        kernel.factor()
+        kernel.apply_factor_transpose(w)
+
+    # no n x n array: the eigenvector factor held two of them at its peak
+    assert traced_peak(factor_and_transpose) < 8 * n * n
+    assert kernel.factor()[0] == "dense"
     want = _multiplied_out_root(kernel).T @ w
     got = kernel.apply_factor_transpose(w)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     L = kernel.apply_factor(np.eye(n)).T
     cov = kernel.dense()
     assert np.max(np.abs(L @ L.T - cov)) <= 1e-13 * np.max(cov)
+
+
+def _refined_root(kernel):
+    """numpy's multiplied-out root after one Newton step on R^2 = C, the
+    residual and the step taken in long double.  At eigenvalue ratios of
+    1e10 and more numpy's root alone is 0.7e-13 to 1.4e-12 off in R w: on the
+    ratio 5.7e10 design of 300 nodes on [4, 8] (lambda 2), against R w from
+    a long-double quadrature of the integral that ``_root_rule`` discretizes,
+    numpy's root read 1.3e-13 and the refined root 1.1e-15."""
+    assert np.finfo(np.longdouble).eps < np.finfo(float).eps
+    cov = kernel.dense()
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    vecs = eigvecs.astype(np.longdouble)
+    roots = np.sqrt(np.clip(eigvals, 0.0, None)).astype(np.longdouble)
+    root = (vecs * roots) @ vecs.T
+    # R X + X R = C - R^2, solved in R's eigenbasis
+    residual = vecs.T @ (cov - root @ root) @ vecs
+    return (root + vecs @ (residual / np.add.outer(roots, roots)) @ vecs.T).astype(float)
+
+
+def test_ill_conditioned_dense_root(profile, rng):
+    # 170 nodes on [2, 4], where the adaptive count is 64: the eigenvalues
+    # span more than ten decades, so the root's step is halved below the
+    # certify designs' and the small shifts are nearly singular
+    family = WavePacketFamily(x0=0.0, xi0=1.0, lam=2.0, profile=profile)
+    kernel = build_kernel(family, average_grid(2.0, 170), 0.0)
+    eigvals = np.linalg.eigvalsh(kernel.dense())
+    assert eigvals[0] > 0.0 and eigvals[-1] / eigvals[0] >= 1e10
+    assert kernel.factor()[0] == "dense"
+    n = kernel.size
+    w = rng.uniform(0.5, 1.5, n)
+    want = _refined_root(kernel).T @ w
+    got = kernel.apply_factor_transpose(w)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    L = kernel.apply_factor(np.eye(n)).T
+    cov = kernel.dense()
+    assert np.max(np.abs(L @ L.T - cov)) <= 1e-13 * np.max(cov)
+
+
+def test_kernel_psd_within_the_floor_factors_through_the_ladder():
+    # eigenvalues 2 + d and -d: negative, but above the floor -1e-10 * trace,
+    # so the ladder's rung 1e-12 * trace, the first to lift -d above zero,
+    # gives the root of C + 1e-12 * trace * I
+    d = 1e-12
+    kernel = NoiseKernel(nodes=np.array([1.0, 2.0]), banded=np.array([[1.0, 1.0], [1.0 + d, 0.0]]))
+    eigvals = np.linalg.eigvalsh(kernel.dense())
+    assert -_PSD_TOL * kernel.trace < eigvals[0] < 0.0
+    kind, (shift, *_) = kernel.factor()
+    assert kind == "dense"
+    assert shift == 1e-12 * kernel.trace
+    L = kernel.apply_factor(np.eye(2)).T
+    assert np.max(np.abs(L @ L.T - (kernel.dense() + shift * np.eye(2)))) <= 1e-13
 
 
 @pytest.mark.parametrize("N, n_nodes, kind", [(12.5, 200, "dense"), (94.0, 1500, "banded")])
@@ -236,6 +321,36 @@ def test_quad_form_matches_dense(base_family, rng, N, n_nodes):
     assert abs(kernel.quad_form(w) - want) <= 1e-12 * want
     rows, cols = np.nonzero(dense)
     assert max(kernel.offsets) == np.max(np.abs(rows - cols))
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.25, 0.4])
+@pytest.mark.parametrize("xi0, x0", [(1.0, 0.7), (-1.0, -1.3)])
+def test_off_diagonal_entries_are_the_packet_overlaps(profile, beta, xi0, x0):
+    # C[t, s] = |(f_t|f_s)_beta|^2 at scattered node pairs, near, partly
+    # overlapping and disjoint, against reference_quadrature's midpoint rule
+    # on each packet's own window, which shares no lattice with the kernel.
+    # Tolerance: 1e-12 of sqrt(C[t, t] C[s, s]); the two agree to 2e-14.
+    family = WavePacketFamily(x0=x0, xi0=xi0, lam=2.0, profile=profile)
+    nodes = np.array([3.0, 3.04, 3.3, 4.1, 4.17, 6.5, 6.52, 12.0])
+    cov = build_kernel(family, nodes, beta).dense()
+    weight = JapaneseBracketWeight(beta)
+    packets = [make_packet(family, t, num_points=512) for t in nodes]
+    overlaps = []
+    for i in range(nodes.size):
+        for j in range(i + 1, nodes.size):
+            want = abs(inner_product_sobolev(packets[i], packets[j], weight)) ** 2
+            scale = np.sqrt(cov[i, i] * cov[j, j])
+            assert abs(cov[i, j] - want) <= 1e-12 * scale
+            overlaps.append(want / scale)
+    assert sum(o > 0.1 for o in overlaps) >= 4 and sum(o == 0.0 for o in overlaps) >= 10
+
+
+def test_root_that_misses_its_certificate_is_a_numerical_error(base_family, monkeypatch):
+    # one step of 0.28 leaves the rule's error near 1e-5 sqrt(lam_max)
+    monkeypatch.setattr(noise_engine, "_ROOT_STEPS", [0.28])
+    kernel = build_kernel(base_family, average_grid(12.5, 200), 0.0)
+    with pytest.raises(NumericalError, match="symmetric root"):
+        kernel.factor()
 
 
 def test_nonpsd_kernel_rejected():
@@ -390,7 +505,7 @@ def test_non_finite_nodes_rejected_before_any_lattice_work(base_family, monkeypa
 
 def test_overflowing_weight_is_a_numerical_error(base_family):
     # outside the CLI's error state the weight overflows to inf and the
-    # bands to NaN; the dense factor's LAPACK call does not check for them
+    # bands to NaN; build_kernel rejects them before any factor reads them
     with np.errstate(all="ignore"), pytest.raises(NumericalError, match="finite"):
         build_kernel(base_family, [4.0, 4.02], 1e300)
 
