@@ -1,11 +1,12 @@
 """Configuration, experiment orchestration, and persistence.
 
 Configs are plain-text ``key = value`` files (``#`` starts a comment).
-Every run writes: a CSV of result rows with a stable column order, a JSON
-summary, plot-ready text series, and a manifest (config hash, seed, code
-version, wall time) sufficient to reproduce it.  Identical config and
-seed produce byte-identical CSV output for any worker count; wall time
-is recorded only in the manifest.
+Every run writes: a CSV of result rows with a stable column order (each
+command returns its rows as one column table, every column a scalar or a
+1-d array), a JSON summary, plot-ready text series, and a manifest (config
+hash, seed, code version, wall time) sufficient to reproduce it.
+Identical config and seed produce byte-identical CSV output for any
+worker count; wall time is recorded only in the manifest.
 
 Exit codes: 0 success, 2 configuration error (a library domain error
 counts as one), 3 numerical failure (non-finite results among them); a
@@ -108,6 +109,14 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not check(value):
                 raise ConfigError(f"cli_io: {key} must be {requirement}, got {value!r}")
+        # plan orders may extend the symbol's or stop short, never disagree
+        symbol = tuple(t.order for t in self.terms)
+        shared = min(len(self.orders), len(symbol))
+        if self.orders[:shared] != symbol[:shared]:
+            raise ConfigError(
+                f"cli_io: orders must agree with the symbol's term orders {symbol!r} "
+                f"where both are given, got {self.orders!r}"
+            )
 
     def plan_order_list(self) -> list:
         if self.orders:
@@ -263,43 +272,38 @@ def config_digest(cfg: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ResultRow:
-    term_index: int
-    parameter: float
-    value_re: float
-    value_im: float
-    truth: float
-    error: float
-    variance: float
-    ci_half_width: float
-    seed: int
-    wall_time_s: str = "NA"   # deterministic placeholder; timing lives in the manifest
+# A command returns its rows as one column table: each name in ROW_COLUMNS
+# maps to a scalar, which every row repeats, or to a 1-d array in row order.
+ROW_COLUMNS = (
+    "term_index", "parameter", "value_re", "value_im", "truth", "error",
+    "variance", "ci_half_width", "seed",
+)
+# The CSV columns: three shared by every row of a run, the row's own, and a
+# deterministic wall_time_s placeholder (timing lives in the manifest).
+RESULT_COLUMNS = ["schema_version", "experiment_id", "command", *ROW_COLUMNS, "wall_time_s"]
+CSV_BLOCK_ROWS = 1024
 
 
-# The CSV columns: three shared by every row of a run, then the row's own.
-RESULT_COLUMNS = ["schema_version", "experiment_id", "command"] + [
-    f.name for f in dataclasses.fields(ResultRow)
-]
+def _broadcast_rows(columns: dict) -> dict:
+    """The column table with every column a 1-d array, one entry per row."""
+    n = math.prod(np.broadcast_shapes(*(np.shape(v) for v in columns.values())))
+    return {name: np.broadcast_to(value, (n,)) for name, value in columns.items()}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def write_rows_csv(path: Path, rows: list, prefix: tuple) -> None:
-    """Write ``rows`` under RESULT_COLUMNS, each led by the ``prefix``
-    values of the shared columns."""
-    lead = [_fmt(v) for v in prefix]
-    own = RESULT_COLUMNS[len(lead):]
-    lines = [",".join(RESULT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join(lead + [_fmt(getattr(row, col)) for col in own]))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_rows_csv(path: Path, columns: dict, prefix: tuple) -> int:
+    """Write the rows of the column table ``columns`` under RESULT_COLUMNS,
+    each led by the ``prefix`` values of the shared columns, and return
+    their count.  A float is written as its ``repr``, an integer in full;
+    only the text of CSV_BLOCK_ROWS rows is held at a time."""
+    table = _broadcast_rows(columns)
+    count = len(table["seed"])
+    lead = ",".join(map(str, prefix))
+    with path.open("w", encoding="utf-8") as f:
+        f.write(",".join(RESULT_COLUMNS) + "\n")
+        for start in range(0, count, CSV_BLOCK_ROWS):
+            cells = (table[name][start : start + CSV_BLOCK_ROWS].tolist() for name in ROW_COLUMNS)
+            f.writelines(",".join((lead, *map(repr, row), "NA")) + "\n" for row in zip(*cells))
+    return count
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -395,30 +399,30 @@ def _cmd_recover(cfg: ExperimentConfig):
     plan = _build_plan(cfg)
     model = _build_model(cfg, pad_to=plan.k_beta)
     session = RecoverySession(
-        model,
-        plan,
-        cfg.x0_grid,
-        cfg.scale,
-        subtract_mode=cfg.subtract,
-        n_nodes=cfg.average_nodes or None,
-        noise=cfg.noise,
+        model, plan, cfg.x0_grid, cfg.scale, subtract_mode=cfg.subtract,
+        n_nodes=cfg.average_nodes or None, noise=cfg.noise,
     )
-    # Rows are built trial by trial; only the first trial's trajectories are
-    # plotted.  The errors, shaped (trial, subtraction, term, grid point) in
-    # row order, give the per-term figures, alerts and error plots, each
-    # mean taken over a contiguous copy so that it sums in row order.
+    # Each trial's rows are copied into the estimate and error arrays as
+    # ``run_trials`` yields them; only the first trial's trajectories are
+    # plotted.  The arrays are shaped (trial, subtraction, term, grid point),
+    # so C order is row order.  The errors give the per-term figures, alerts
+    # and error plots, each mean taken over a contiguous copy so that it
+    # sums in row order.
     seeds = child_seeds(cfg.seed, np.arange(cfg.trials), "recover-trial")
-    rows = []
+    shape = (cfg.trials, len(session.modes), plan.k_beta, len(cfg.x0_grid))
+    estimates = np.empty(shape, dtype=complex)
+    errors = np.empty(shape)
     for trial, report in enumerate(session.run_trials(seeds)):
         if trial == 0:
             trajectories = report.trajectories
-        rows += [
-            ResultRow(r.term_index, r.x0, r.estimate.real, r.estimate.imag, r.truth,
-                      r.abs_error, float("nan"), float("nan"), r.seed)
-            for r in report.rows
-        ]
-    errors = np.array([r.error for r in rows]).reshape(
-        cfg.trials, -1, plan.k_beta, len(cfg.x0_grid)
+        estimates[trial].flat = [r.estimate for r in report.rows]
+        errors[trial].flat = [r.abs_error for r in report.rows]
+    row_trial, _, row_term, row_point = np.indices(shape).reshape(4, -1)
+    rows = dict(
+        term_index=row_term + 1, parameter=session.x0_grid[row_point],
+        value_re=estimates.real.ravel(), value_im=estimates.imag.ravel(),
+        truth=np.array([session.truths[j] for j in session.designs])[row_term, row_point],
+        error=errors.ravel(), variance=np.nan, ci_half_width=np.nan, seed=seeds[row_trial],
     )
 
     per_term = {}
@@ -495,7 +499,7 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
     )
     emp_cov = (oracle.conj().T @ oracle / trials).real
     dense3 = kernel3.dense()
-    rel_dev = np.abs(emp_cov - dense3) / dense3
+    max_dev = float((np.abs(emp_cov - dense3) / dense3).max())
     seeds = child_seeds(cfg.seed, np.arange(trials), "ks")
     kernel_draws = sample_paths(kernel3, seeds)
     ks_pvalue = ks_2samp_pvalue(np.abs(oracle[:, 0]), np.abs(kernel_draws[:, 0]))
@@ -510,17 +514,16 @@ def _cmd_noise_stats(cfg: ExperimentConfig):
         "isometry_stderr": ratio_stderr,
         "pseudo_covariance": pseudo,
         "pseudo_stderr": pseudo_stderr,
-        "oracle_max_rel_dev": float(rel_dev.max()),
+        "oracle_max_rel_dev": max_dev,
         "ks_pvalue": ks_pvalue,
     }
-    rows = [
-        ResultRow(0, t0, ratio, 0.0, 1.0, abs(ratio - 1.0), float("nan"),
-                  3.0 * ratio_stderr, cfg.seed),
-        ResultRow(0, t0, pseudo.real, pseudo.imag, 0.0, abs(pseudo), float("nan"),
-                  3.0 * pseudo_stderr, cfg.seed),
-        ResultRow(0, t0, float(rel_dev.max()), 0.0, 0.0, float(rel_dev.max()),
-                  float("nan"), 0.05, cfg.seed),
-    ]
+    rows = dict(  # the isometry ratio, the pseudo-covariance, the oracle's deviation
+        term_index=0, parameter=t0,
+        value_re=[ratio, pseudo.real, max_dev], value_im=[0.0, pseudo.imag, 0.0],
+        truth=[1.0, 0.0, 0.0], error=[abs(ratio - 1.0), abs(pseudo), max_dev],
+        variance=np.nan, ci_half_width=[3.0 * ratio_stderr, 3.0 * pseudo_stderr, 0.05],
+        seed=cfg.seed,
+    )
     return rows, summary, {}
 
 
@@ -535,14 +538,11 @@ def _cmd_variance_scaling(cfg: ExperimentConfig):
     result = variance_scaling_experiment(
         family, cfg.beta, m, cfg.mode, cfg.grid, cfg.trials, cfg.seed
     )
-    rows = [
-        ResultRow(
-            j, float(g), float(result.empirical_var[i]), 0.0, float(result.kernel_var[i]),
-            abs(result.empirical_var[i] - result.kernel_var[i]),
-            float(result.empirical_var[i]), float("nan"), cfg.seed,
-        )
-        for i, g in enumerate(result.grid)
-    ]
+    rows = dict(
+        term_index=j, parameter=result.grid, value_re=result.empirical_var, value_im=0.0,
+        truth=result.kernel_var, error=np.abs(result.empirical_var - result.kernel_var),
+        variance=result.empirical_var, ci_half_width=np.nan, seed=cfg.seed,
+    )
     summary = {
         "command": "variance-scaling",
         "target": cfg.mode,
@@ -581,14 +581,11 @@ def _cmd_nonconvergence(cfg: ExperimentConfig):
     curve = nonconvergence_experiment(
         model, cfg.term, cfg.mode, lam, cfg.threshold, cfg.grid, cfg.trials, cfg.seed
     )
-    rows = [
-        ResultRow(
-            cfg.term, float(g), float(curve.p_hat[i]), 0.0, float(curve.p_closed_form[i]),
-            abs(curve.p_hat[i] - curve.p_closed_form[i]),
-            float(curve.sigma_sq[i]), float(curve.half_width[i]), cfg.seed,
-        )
-        for i, g in enumerate(curve.grid)
-    ]
+    rows = dict(
+        term_index=cfg.term, parameter=curve.grid, value_re=curve.p_hat, value_im=0.0,
+        truth=curve.p_closed_form, error=np.abs(curve.p_hat - curve.p_closed_form),
+        variance=curve.sigma_sq, ci_half_width=curve.half_width, seed=cfg.seed,
+    )
     summary = {
         "command": "nonconvergence",
         "term": cfg.term,
@@ -621,14 +618,12 @@ def _cmd_rate(cfg: ExperimentConfig):
         model, plan, cfg.term, cfg.rate_eps, cfg.rate_delta,
         cfg.grid, cfg.trials, cfg.seed, noise=cfg.noise,
     )
-    rows = []
-    for cert in surface.certificates:
-        rows.append(
-            ResultRow(
-                cfg.term, cert.n0, cert.eps, cert.delta, float("nan"), float("nan"),
-                float("nan"), float("nan"), cfg.seed,
-            )
-        )
+    certs = surface.certificates
+    rows = dict(
+        term_index=cfg.term, parameter=[c.n0 for c in certs],
+        value_re=[c.eps for c in certs], value_im=[c.delta for c in certs],
+        truth=np.nan, error=np.nan, variance=np.nan, ci_half_width=np.nan, seed=cfg.seed,
+    )
     summary = {
         "command": "rate",
         "term": cfg.term,
@@ -665,15 +660,12 @@ def _cmd_asymptotics(cfg: ExperimentConfig):
     expected = None
     if len(orders) >= 2:
         expected = -min(1.0, lam * (orders[0] - orders[1]), lam - 1.0)
-    rows = [
-        ResultRow(
-            1, float(t), float(probe["scaled_values"][i].real),
-            float(probe["scaled_values"][i].imag),
-            float(probe["truth"].real), float(probe["errors"][i]),
-            float("nan"), float("nan"), cfg.seed,
-        )
-        for i, t in enumerate(probe["t"])
-    ]
+    rows = dict(
+        term_index=1, parameter=probe["t"],
+        value_re=probe["scaled_values"].real, value_im=probe["scaled_values"].imag,
+        truth=probe["truth"].real, error=probe["errors"],
+        variance=np.nan, ci_half_width=np.nan, seed=cfg.seed,
+    )
     summary = {
         "command": "asymptotics",
         "lambda": lam,
@@ -712,15 +704,19 @@ def _finite_leaves(obj) -> bool:
     return bool(np.all(np.isfinite(obj)))
 
 
-def _require_finite(rows: list, summary: dict) -> None:
+def _require_finite(rows: dict, summary: dict) -> None:
     """Reject non-finite results before anything is written.  Row columns
     that hold NaN by design (variance, ci_half_width, rate truth and error)
     are not checked."""
-    bad = [r for r in rows if not (math.isfinite(r.value_re) and math.isfinite(r.value_im))]
-    if bad:
+    table = _broadcast_rows(rows)
+    finite = np.isfinite([table["value_re"], table["value_im"]]).all(axis=0)
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        first = bad[0]
         raise NumericalError(
-            f"cli_io: {len(bad)} of {len(rows)} result rows are not finite "
-            f"(first: term {bad[0].term_index}, parameter {bad[0].parameter!r})"
+            f"cli_io: {bad.size} of {finite.size} result rows are not finite "
+            f"(first: term {table['term_index'][first]}, "
+            f"parameter {float(table['parameter'][first])!r})"
         )
     if not _finite_leaves(summary):
         raise NumericalError("cli_io: the summary holds non-finite values")
@@ -748,7 +744,7 @@ def run_command(
         out.mkdir(parents=True, exist_ok=True)
         slug = name.replace("-", "_")
         csv_path = out / f"{slug}_rows.csv"
-        write_rows_csv(csv_path, rows, (SCHEMA_VERSION, experiment_id, name))
+        count = write_rows_csv(csv_path, rows, (SCHEMA_VERSION, experiment_id, name))
         summary_path = out / f"{slug}_summary.json"
         write_json(summary_path, summary)
         plot_paths = []
@@ -766,7 +762,7 @@ def run_command(
         }
         write_json(out / "manifest.json", manifest)
         if not quiet:
-            print(f"{name}: wrote {csv_path} ({len(rows)} rows)")
+            print(f"{name}: wrote {csv_path} ({count} rows)")
         return 0
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

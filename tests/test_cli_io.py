@@ -6,12 +6,14 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symrec
 from symrec import cli_io
 from symrec.cli_io import (
     _DISPATCH,
+    RESULT_COLUMNS,
     ExperimentConfig,
     TermSpec,
     config_digest,
@@ -19,8 +21,10 @@ from symrec.cli_io import (
     main,
     parse_config,
     serialize_config,
+    write_rows_csv,
 )
 from symrec.errors import ConfigError
+from symrec.measurement_recovery import RecoverySession
 
 COMMANDS = tuple(_DISPATCH)
 
@@ -194,6 +198,30 @@ class TestCommands:
             within = sum(e <= threshold for e in term) / len(term)
             assert summary["per_term"][j]["within_alert"] == within
 
+    def test_recover_rows_are_the_reported_rows(self, tmp_path, monkeypatch):
+        # the CSV holds, in order, every row of every report that run_trials
+        # yields, column for column
+        reported = []
+        run_trials = RecoverySession.run_trials
+
+        def recording(session, seeds):
+            for report in run_trials(session, seeds):
+                reported.extend(report.rows)
+                yield report
+
+        monkeypatch.setattr(RecoverySession, "run_trials", recording)
+        path = tmp_path / "both.cfg"
+        path.write_text(TWO_TERM_CFG + "subtract = both\ntrials = 3\n")
+        out = tmp_path / "out"
+        assert main(["recover", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        lines = (out / "recover_rows.csv").read_text().splitlines()[1:]
+        assert [line.split(",", 3)[3] for line in lines] == [
+            f"{r.term_index},{r.x0!r},{r.estimate.real!r},{r.estimate.imag!r},"
+            f"{r.truth!r},{r.abs_error!r},nan,nan,{r.seed},NA"
+            for r in reported
+        ]
+        assert len(reported) == 3 * 2 * 2 * 5  # trials * subtractions * terms * grid points
+
     def test_recover_pads_the_symbol_to_the_plan(self, tmp_path):
         path = tmp_path / "padded.cfg"
         path.write_text(PADDED_CFG)
@@ -223,7 +251,7 @@ class TestCommands:
     def test_malformed_orders_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text(
-            TWO_TERM_CFG.replace("orders = 1.0, 0.0, -1.0", "orders = 1.0, 1.0, -1.0")
+            TWO_TERM_CFG.replace("orders = 1.0, 0.0, -1.0", "orders = 1.0, 0.0, 0.0")
         )
         code = main(["recover", "--config", str(bad), "--quiet"])
         assert code == 2
@@ -297,12 +325,43 @@ class TestCommands:
             ("noise-stats", "beta = 1e300"),
             ("nonconvergence", "beta = 1e300"),
             ("asymptotics", "grid = 1e300"),
-            ("recover", "symbol_1_order = 1e300"),
-            ("asymptotics", "symbol_1_order = 1e300"),
+            # orders must agree with the symbol, so the plan's changes too
+            pytest.param(
+                "recover", "symbol_1_order = 1e300\norders = 1e300, 0.0, -1.0",
+                id="recover-symbol_1_order = 1e300",
+            ),
+            pytest.param(
+                "asymptotics", "symbol_1_order = 1e300\norders = 1e300, 0.0, -1.0",
+                id="asymptotics-symbol_1_order = 1e300",
+            ),
         ],
     )
     def test_overflow_exit_3(self, tmp_path, capsys, command, line):
         _assert_one_line_failure(tmp_path, capsys, command, line, 3)
+
+    def test_nonfinite_rows_exit_3(self, tmp_path, capsys):
+        # exp(1000 x) overflows in term 2's coefficient, and every recovered
+        # value follows it; the count and the first row are named
+        err = _assert_one_line_failure(
+            tmp_path, capsys, "recover", "symbol_2_coeff = exp(1000*x)", 3
+        )
+        assert err == (
+            "numerical failure: cli_io: 20 of 20 result rows are not finite "
+            "(first: term 1, parameter -0.5)\n"
+        )
+
+    def test_nonfinite_summary_exit_3(self, tmp_path, capsys, monkeypatch):
+        # one finite row (one eps, one delta) and a NaN summary leaf
+        rate = _DISPATCH["rate"]
+
+        def nan_summary(cfg):
+            rows, summary, plots = rate(cfg)
+            return rows, {**summary, "c_emp": float("nan")}, plots
+
+        monkeypatch.setitem(_DISPATCH, "rate", nan_summary)
+        line = "noise = false\ngrid = 4, 6, 8\nrate_eps = 0.1\nrate_delta = 0.1\ntrials = 200"
+        err = _assert_one_line_failure(tmp_path, capsys, "rate", line, 3)
+        assert err == "numerical failure: cli_io: the summary holds non-finite values\n"
 
     @pytest.mark.parametrize(
         "command, line, key",
@@ -348,6 +407,10 @@ class TestCommands:
             ("recover", "alert_threshold = 0", "alert_threshold"),
             ("recover", "average_nodes = 1000000", "average_nodes"),
             ("recover", "profile_sharpness = 372.567", "profile_sharpness"),
+            # plan orders that disagree with the symbol's, at either length
+            ("recover", "orders = 1.0, 0.5, -1.0", "orders"),
+            ("recover", "orders = -1.0", "orders"),
+            ("asymptotics", "symbol_2_order = -0.5", "orders"),
         ],
     )
     def test_packet_scale_below_one_exit_2(self, tmp_path, capsys, command, line, key):
@@ -543,6 +606,50 @@ class TestCommands:
         n0 = {(c["eps"], c["delta"]): c["n0"] for c in summary["certificates"]}
         assert n0[(0.05, 0.1)] >= n0[(0.1, 0.1)]
         assert summary["theta_emp"] > 0
+
+
+def _fmt(value) -> str:
+    """How the CSV writer formatted one value when it held one object per row."""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return str(value)
+
+
+class TestRowsCsv:
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            np.array([2**63 + 1, 0, 2**64 - 1], dtype=np.uint64),
+            np.array([-1, -(2**63), 5], dtype=np.int64),
+            -5,
+            2**63 + 1,
+        ],
+        ids=["uint64", "int64", "negative scalar", "scalar past int64"],
+    )
+    def test_bytes_match_the_per_value_format(self, tmp_path, seed):
+        # float64, int64 and uint64 arrays among broadcast scalars, with
+        # nan, -0.0 and seeds on both sides of the int64 range
+        floats = np.array([1.5, float("nan"), -0.0])
+        columns = dict(
+            term_index=np.array([1, -2, 0], dtype=np.int64), parameter=floats,
+            value_re=0.1, value_im=-0.0, truth=floats[::-1] * 1e-300,
+            error=float("nan"), variance=np.float64(2.5), ci_half_width=3,
+            seed=seed,
+        )
+        path = tmp_path / "rows.csv"
+        assert write_rows_csv(path, columns, (1, "recover-abc-7", "recover")) == 3
+        own = [columns[name] for name in RESULT_COLUMNS[3:-1]]
+        rows = [
+            [1, "recover-abc-7", "recover"]
+            + [v[i] if np.ndim(v) else v for v in own]
+            + ["NA"]
+            for i in range(3)
+        ]
+        expected = [",".join(RESULT_COLUMNS)] + [",".join(map(_fmt, r)) for r in rows]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+        assert len(rows[0]) == len(RESULT_COLUMNS)
 
 
 class TestPlotData:

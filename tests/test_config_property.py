@@ -1,6 +1,8 @@
 """Property test: serialize_config and parse_config are inverse on any
 configuration the parser accepts."""
 
+import dataclasses
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,6 +20,17 @@ _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 
 
+def _with_consistent_orders(cfg):
+    """``cfg`` with plan orders that stop short of the symbol's term orders
+    or extend them, the two ways a config may give them."""
+    symbol = tuple(t.order for t in cfg.terms)
+    orders = st.one_of(
+        st.integers(0, len(symbol)).map(lambda n: symbol[:n]),
+        _float_lists.map(lambda extra: symbol + extra),
+    )
+    return orders.map(lambda o: dataclasses.replace(cfg, orders=o))
+
+
 @settings(max_examples=200, deadline=None)
 @given(cfg=st.builds(
     ExperimentConfig,
@@ -27,7 +40,6 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
     profile_sharpness=st.floats(min_value=1e-6, max_value=372.5),
     noise=st.booleans(),
     subtract=st.sampled_from(["oracle", "self", "both"]),
-    orders=_float_lists,
     grid=st.lists(_scales, min_size=1, max_size=4).map(tuple),
     scale=_scales,
     average_nodes=st.one_of(st.just(0), st.integers(2, MAX_AVERAGE_NODES)),
@@ -54,6 +66,6 @@ _probabilities = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
         ),
         max_size=3,
     ).map(tuple),
-))
+).flatmap(_with_consistent_orders))
 def test_round_trip_property(cfg):
     assert parse_config(serialize_config(cfg)) == cfg
