@@ -289,10 +289,12 @@ class NoiseKernel:
 
 def _shifted_cholesky(banded: np.ndarray, shift: float) -> np.ndarray:
     """Lower banded Cholesky factor of C + shift I, C given by its bands;
-    raises ``LinAlgError`` where that is not positive definite."""
-    work = banded.copy()
+    raises ``LinAlgError`` where that is not positive definite.  LAPACK
+    factors a Fortran-ordered work copy in place, so the factor is the one
+    band copy made."""
+    work = np.array(banded, order="F")
     work[0] += shift
-    return scipy.linalg.cholesky_banded(work, lower=True)
+    return scipy.linalg.cholesky_banded(work, overwrite_ab=True, lower=True)
 
 
 def _root_rule(eigvals: np.ndarray):
@@ -412,7 +414,8 @@ def build_kernel(
         raise NumericalError(
             f"noise_engine: kernel entries must be nonnegative (found {banded.min():.3e})"
         )
-    return NoiseKernel(nodes=nodes, banded=np.clip(banded, 0.0, None))
+    np.clip(banded, 0.0, None, out=banded)
+    return NoiseKernel(nodes=nodes, banded=banded)
 
 
 def sample_path(kernel: NoiseKernel, seed: int) -> np.ndarray:

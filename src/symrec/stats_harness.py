@@ -169,22 +169,31 @@ def continuum_average_variance(
 
     # The (u, v, eta) points number 8.9 M at the defaults: whatever depends
     # on (u, v) alone is formed on the plane, and the eta sums run over
-    # slabs of as many u rows as fit ``BLOCK_ENTRIES`` (v, eta) entries, one
-    # row at least, so no (u, v, eta) array outgrows one slab.
+    # slabs of as many (u, v) points as fit ``BLOCK_ENTRIES`` eta entries
+    # (256 on the 256-point eta grid), so no (u, v, eta) array outgrows one
+    # slab, whatever the grid.
     shift = (s_pow - u[:, None] ** lam) * family.xi0
     if beta != 0.0:  # the weight is identically 1 at beta = 0
         weight = JapaneseBracketWeight(beta)
-        center = (s ** lam) * family.xi0
-    eta_sum = np.empty(s.shape)
-    slab = block_rows(n_v * prof.eta.size)
-    for lo in range(0, n_u, slab):
-        rows = slice(lo, lo + slab)
-        s_eta = s[rows, :, None] * prof.eta
-        arg = (s_eta + shift[rows, :, None]) / u[rows, None, None]
-        integrand = prof.chi_hat_eta * prof.chi_hat(arg)
+        center = ((s ** lam) * family.xi0).ravel()
+    points_s, points_u, shift = s.ravel(), np.repeat(u, n_v), shift.ravel()
+    eta_sum = np.empty(s.size)
+    slab = block_rows(prof.eta.size)
+    for lo in range(0, s.size, slab):
+        pts = slice(lo, lo + slab)
+        s_eta = points_s[pts, None] * prof.eta
+        arg = s_eta + shift[pts, None]
+        arg /= points_u[pts, None]
+        integrand = prof.chi_hat(arg)
+        del arg
+        integrand *= prof.chi_hat_eta
         if beta != 0.0:
-            integrand *= weight(s_eta + center[rows, :, None])
-        eta_sum[rows] = np.sum(integrand, axis=2)
+            s_eta += center[pts, None]
+            integrand *= weight(s_eta)
+        del s_eta
+        eta_sum[pts] = np.sum(integrand, axis=1)
+        del integrand
+    eta_sum = eta_sum.reshape(s.shape)
     deta = prof.eta[1] - prof.eta[0]
     ip = np.sqrt(s / u[:, None]) * eta_sum * deta
 

@@ -128,9 +128,10 @@ def packet_quadratic_form(
     point, which contracts each part with the coefficient in real arithmetic
     (a complex coefficient gives complex parts, and sum c S = sum c Re S +
     i sum c Im S).  A block holds as many nodes as fit ``BLOCK_ENTRIES``
-    (y, node) entries.  An array ``x0`` adds a leading base-point axis to
-    the result.  The parts are weighted in place, and a block's arrays are
-    freed before the next block's transform is evaluated.
+    (y, node) entries: 128 on the 512-point y grid.  An array ``x0`` adds a
+    leading base-point axis to the result.  The parts are weighted in place,
+    and a block's arrays are freed before the next block's transform is
+    evaluated.
     """
     profile = family.profile
     x0s = np.atleast_1d(np.asarray(family.x0 if x0 is None else x0, dtype=float))

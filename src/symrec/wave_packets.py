@@ -28,8 +28,9 @@ _CHI_SCAN_MAX = 400.0
 _ETA_POINTS = 256
 _Y_POINTS = 512
 # Array entries per block of every blocked pass (kernel tiles, oracle draws,
-# packet quadratures, spline moments, continuum slabs); bounds their memory.
-BLOCK_ENTRIES = 2 ** 18
+# packet quadratures, spline moments, continuum slabs, the profile's cosine
+# table); bounds their memory: 0.5 MB per float64 array.
+BLOCK_ENTRIES = 2 ** 16
 
 
 def block_rows(row_entries: int) -> int:
@@ -104,13 +105,25 @@ class PacketProfile:
     # -- physical side ---------------------------------------------------
 
     def _chi_exact(self, y: np.ndarray) -> np.ndarray:
-        # chi(y) = (2/pi)^(1/2) * integral_0^1 cos(y*xi) chi_hat(xi) dxi
+        # chi(y) = (2/pi)^(1/2) * integral_0^1 cos(y*xi) chi_hat(xi) dxi,
+        # the cosine table formed in place one block of y rows at a time.
+        # The product is a BLAS dgemv whose row sums depend on the block's
+        # row count: every multiple of 8 rows gives the table of 2,048-row
+        # blocks, with which the reference outputs were recorded, bit for bit
+        # on both profile grids; other counts (2**16 // 384 = 170 among them)
+        # move it by up to 1e-16, which the radii and the cache carry into
+        # the recovered rows.
         xi = self._gauss_xi
         weights = self._gauss_w * self.chi_hat(xi)
         out = np.empty(y.shape, dtype=float)
-        for i in range(0, y.size, 2048):
-            out[i : i + 2048] = np.cos(np.outer(y[i : i + 2048], xi)) @ weights
-        return np.sqrt(2.0 / np.pi) * out
+        rows = max(8, block_rows(xi.size) // 8 * 8)
+        for i in range(0, y.size, rows):
+            table = np.outer(y[i : i + rows], xi)
+            np.cos(table, out=table)
+            out[i : i + rows] = table @ weights
+            del table
+        out *= np.sqrt(2.0 / np.pi)
+        return out
 
     def _build_physical_cache(self):
         coarse = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
@@ -151,9 +164,12 @@ class PacketProfile:
         # eta is antisymmetric bit for bit (eta[-1 - n] == -eta[n]), so the
         # kernel's column -1 - n is the conjugate of column n.
         half = self.eta[: _ETA_POINTS // 2]
+        scale = deta / np.sqrt(TWO_PI)
         phase = np.outer(self.y, half)
-        self.kernel_cos = np.cos(phase) * (deta / np.sqrt(TWO_PI))
-        self.kernel_sin = np.sin(phase) * (deta / np.sqrt(TWO_PI))
+        self.kernel_cos = np.cos(phase)
+        self.kernel_cos *= scale
+        self.kernel_sin = np.sin(phase, out=phase)
+        self.kernel_sin *= scale
         self.y_weights = self.chi_y * dy
 
 

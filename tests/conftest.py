@@ -40,16 +40,22 @@ def rng():
     return np.random.default_rng(20240817)
 
 
+def _traced_call(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return tracemalloc.get_traced_memory()[1], out
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.fixture()
 def traced_peak():
     """The tracemalloc peak, in bytes, of one call fn(*args)."""
+    return lambda fn, *args: _traced_call(fn, *args)[0]
 
-    def peak(fn, *args) -> int:
-        tracemalloc.start()
-        try:
-            fn(*args)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    return peak
+@pytest.fixture()
+def traced_call():
+    """The tracemalloc peak, in bytes, of one call fn(*args), and its result."""
+    return _traced_call

@@ -711,8 +711,8 @@ def test_kernel_build_peak_is_six_blocks_plus_the_bands(profile):
     # certify's largest build.  One tile's working set fits six float64
     # blocks: its patch (the tile and its neighbours), the chi_hat
     # temporaries of that patch and the tile's gram.  What grows with the
-    # node count fits two band arrays: the sums that the tiles add to, the
-    # node windows, and, after the last tile, the clipped bands returned
+    # node count fits two band arrays: the sums that the tiles add to, which
+    # are clipped in place into the bands returned, and the node windows
     family = WavePacketFamily(x0=0.0, xi0=1.0, lam=README_LAM, profile=profile)
     nodes = average_grid(64.0, adaptive_average_nodes(64.0, README_LAM))
     assert nodes.size == 14_482
@@ -724,6 +724,18 @@ def test_kernel_build_peak_is_six_blocks_plus_the_bands(profile):
     finally:
         tracemalloc.stop()
     assert peak <= 6 * 8 * BLOCK_ENTRIES + 2 * kernel.banded.nbytes
+
+
+def test_banded_factor_holds_one_band_copy_beside_the_kernel(profile, traced_peak):
+    # certify's largest kernel takes the banded Cholesky factor, which LAPACK
+    # computes in place in its one work copy of the bands; beside that copy
+    # stands the finiteness check's mask, one byte per band entry
+    family = WavePacketFamily(x0=0.0, xi0=1.0, lam=README_LAM, profile=profile)
+    nodes = average_grid(64.0, adaptive_average_nodes(64.0, README_LAM))
+    kernel = build_kernel(family, nodes, 0.0)
+    peak = traced_peak(kernel.factor)
+    assert kernel.factor()[0] == "banded"
+    assert peak < 1.25 * kernel.banded.nbytes
 
 
 def test_kernel_memory_follows_the_tile_not_the_node_count(profile, traced_peak):

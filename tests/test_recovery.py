@@ -441,29 +441,31 @@ def test_base_point_array_matches_scalar_calls(monkeypatch, two_term_model):
 
 # Term 2 of the README design: 9,407 averaged nodes at N = 48, five base
 # points.  Each pass holds one node block's arrays at a time, a few
-# BLOCK_ENTRIES-sized float arrays, whatever the node count.
+# BLOCK_ENTRIES-sized float arrays, whatever the node count; beside them
+# stands only the array the pass returns.
 _BLOCK_PASS_BOUND = 6 * 8 * wave_packets.BLOCK_ENTRIES
 
 
-def test_quadrature_memory_follows_the_block_not_the_node_count(two_term_model, traced_peak):
+def test_quadrature_memory_follows_the_block_not_the_node_count(two_term_model, traced_call):
     family = two_term_model.family_for(2.5)
     nodes = average_grid(48.0, adaptive_average_nodes(48.0, 2.5))
     term = two_term_model.observable.terms[1]
     x0s = np.linspace(-0.5, 0.5, 5)
-    peak = traced_peak(packet_quadratic_form, family, nodes, term, x0s)
-    assert peak < _BLOCK_PASS_BOUND
+    peak, out = traced_call(packet_quadratic_form, family, nodes, term, x0s)
+    assert out.shape == (5, 9407)
+    assert peak < _BLOCK_PASS_BOUND + out.nbytes
 
 
-def test_spline_moment_memory_follows_the_block_not_the_node_count(two_term_model, traced_peak):
+def test_spline_moment_memory_follows_the_block_not_the_node_count(two_term_model, traced_call):
     # the cardinal sums of a recovered term 1 on the same design
     design = TermDesign(two_term_model.family_for(2.5), 0.0, 0.0, "averaged", 48.0, noise=False)
     x0s = np.linspace(-0.5, 0.5, 5)
     term = HomogeneousTerm(1.0, TabulatedCoeff(x0s, np.eye(5)), h_minus=0.0)
-    peak = traced_peak(
+    peak, out = traced_call(
         measurement_recovery.spline_form_sums,
         design.family, design.nodes, design.weights, term, x0s,
     )
-    assert peak < _BLOCK_PASS_BOUND
+    assert peak < _BLOCK_PASS_BOUND + out.nbytes
 
 
 @pytest.fixture()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp, linregress
 
-from symrec import stats_harness
+from symrec import stats_harness, wave_packets
 from symrec.errors import ConfigError, NumericalError
 from symrec.expressions import parse_coeff
 from symrec.measurement_recovery import MeasurementModel, TermDesign
@@ -194,6 +194,20 @@ class TestVarianceScaling:
         got = continuum_average_variance(family, beta, 0.0, T)
         want = _one_slab_continuum_variance(family, beta, 0.0, T, n_u=n_u)
         assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("entries", [2 ** 15, wave_packets.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("beta", [0.0, 0.25])
+    def test_continuum_memory_follows_the_block(
+        self, profile, monkeypatch, traced_peak, beta, entries
+    ):
+        # the (u, v, eta) slabs fit six float64 blocks; beside them stand
+        # the arrays of the (u, v) plane: the points, shifts, validity mask,
+        # eta sums and the integrand's factors
+        monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", entries)
+        family = WavePacketFamily(0.0, 1.0, 2.5, profile)
+        plane = 8 * stats_harness.CONTINUUM_N_U * stats_harness.CONTINUUM_N_V
+        peak = traced_peak(continuum_average_variance, family, beta, 0.0, 64.0)
+        assert peak <= 6 * 8 * entries + 8 * plane
 
 
 def _refined_continuum_variance(monkeypatch, family, beta, m, T):

@@ -148,6 +148,36 @@ def test_gauss_legendre_transform_matches_simpson(profile):
     )
 
 
+@pytest.mark.parametrize("grid", ["scan", "cache"])
+def test_blocked_chi_table_equals_the_2048_row_product(profile, grid):
+    # the profile's two grids: the radius scan and the spline cache; the
+    # blocked table's dgemv row sums must be those of 2,048-row blocks, bit
+    # for bit, since the radii and the cache reach the recovered rows
+    if grid == "scan":
+        y = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
+    else:
+        y = np.linspace(0.0, profile.radius_cache, wave_packets._CHI_CACHE_POINTS)
+    xi = profile._gauss_xi
+    weights = profile._gauss_w * profile.chi_hat(xi)
+    want = np.empty(y.shape)
+    for i in range(0, y.size, 2048):
+        want[i : i + 2048] = np.cos(np.outer(y[i : i + 2048], xi)) @ weights
+    assert np.array_equal(profile._chi_exact(y), np.sqrt(2.0 / np.pi) * want)
+
+
+@pytest.mark.parametrize("entries", [2 ** 15, wave_packets.BLOCK_ENTRIES])
+def test_profile_memory_follows_the_block(monkeypatch, traced_peak, entries):
+    # the cosine tables of the radius scan and the cache are formed a block
+    # of rows at a time; beyond six float64 blocks only the tables the
+    # profile keeps (unit grids, Fourier kernel, spline cache) stay
+    monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", entries)
+    prof = wave_packets.PacketProfile(1.0)
+    kept = sum(a.nbytes for a in vars(prof).values() if isinstance(a, np.ndarray))
+    kept += sum(a.nbytes for a in prof._chi_spline)
+    peak = traced_peak(wave_packets.PacketProfile, 1.0)
+    assert peak <= 6 * 8 * entries + kept
+
+
 def test_window_geometry(profile):
     family = WavePacketFamily(x0=0.0, xi0=1.0, lam=2.0, profile=profile)
     p = make_packet(family, 10.0)
