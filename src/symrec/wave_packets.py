@@ -6,18 +6,19 @@ t^lambda * xi0 with lambda > 1.  Its transform is supported on the window
 that window carry it exactly.  The profile fixes one smooth, radial, compactly supported bump for
 the transform: equal to a constant b on |xi| <= 1/2, vanishing for
 |xi| >= 1, with a smooth exponential partition bridge between, normalized
-to unit L2 norm.
+to unit L2 norm.  At the default sharpness its derived constants come from
+the generated ``default_profile`` module; any other sharpness computes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import splines
+from . import default_profile, splines
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,24 +77,43 @@ class PacketProfile:
                 f"exp(-2 * sharpness) > 0 (below 372.5667), got {sharpness!r}"
             )
         self.sharpness = float(sharpness)
+        if self.sharpness == default_profile.SHARPNESS:
+            # the compute path's output at the default sharpness, generated
+            # as float.hex literals: no Gauss rule, radius scan or cache
+            self.b, self.tail_radius, self.radius_cache = map(np.float64, (
+                default_profile.B, default_profile.TAIL_RADIUS, default_profile.RADIUS_CACHE
+            ))
+            self.chi_y = np.array([float.fromhex(h) for h in default_profile.CHI_Y])
+        else:
+            self._compute_constants()
+        self._build_unit_grids()
 
-        # Gauss-Legendre on [0, 1].  chi_hat is C-infinity, so the rule
-        # converges faster than any power; 384 nodes put the transform within
-        # 1.3e-14 of chi(0) of a 4,097-point Simpson sum.  sigma is 1 on
-        # [0, 1/2], so only the bridge needs the rule.
-        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
-        self._gauss_xi = 0.5 * (nodes + 1.0)
-        self._gauss_w = 0.5 * weights
-        bridge = bridge_sigma(0.5 + 0.5 * self._gauss_xi, sharpness)
-        norm_sq = 0.5 + 0.5 * np.sum(self._gauss_w * bridge ** 2)
+    def _compute_constants(self):
+        """The compute path: b by the Gauss rule, then the two radii from a
+        scan of the transform."""
+        xi, weights = self._gauss_rule
+        bridge = bridge_sigma(0.5 + 0.5 * xi, self.sharpness)
+        norm_sq = 0.5 + 0.5 * np.sum(weights * bridge ** 2)
         # This b equals, bit for bit, that of the adaptive quadrature it
         # replaced.  A Newton-refined rule gets norm_sq 6e-16 closer to exact,
         # but the few ulps it moves b reach the noise through the kernel
         # factor and move recovered rows by up to 4e-9 relative.
         self.b = 1.0 / np.sqrt(2.0 * norm_sq)
 
-        self._build_physical_cache()
-        self._build_unit_grids()
+        coarse = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
+        vals = np.abs(self._chi_exact(coarse))
+        peak = vals[0]
+        above12 = np.nonzero(vals > 1e-12 * peak)[0]
+        above6 = np.nonzero(vals > 1e-6 * peak)[0]
+        self.radius_cache = float(coarse[above12[-1]]) + coarse[1]
+        # |chi * S| tails scale like |chi|^2, so packet quadratures may stop
+        # where the envelope reaches 1e-6 of the peak.
+        self.tail_radius = float(coarse[above6[-1]]) + coarse[1]
+
+    @cached_property
+    def chi_y(self) -> np.ndarray:
+        """The physical profile on the y grid (tabulated at the default)."""
+        return self.chi(self.y)
 
     # -- transform side -------------------------------------------------
 
@@ -113,8 +133,8 @@ class PacketProfile:
         # on both profile grids; other counts (2**16 // 384 = 170 among them)
         # move it by up to 1e-16, which the radii and the cache carry into
         # the recovered rows.
-        xi = self._gauss_xi
-        weights = self._gauss_w * self.chi_hat(xi)
+        xi, weights = self._gauss_rule
+        weights = weights * self.chi_hat(xi)
         out = np.empty(y.shape, dtype=float)
         rows = max(8, block_rows(xi.size) // 8 * 8)
         for i in range(0, y.size, rows):
@@ -125,20 +145,19 @@ class PacketProfile:
         out *= np.sqrt(2.0 / np.pi)
         return out
 
-    def _build_physical_cache(self):
-        coarse = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
-        vals = np.abs(self._chi_exact(coarse))
-        peak = vals[0]
-        above12 = np.nonzero(vals > 1e-12 * peak)[0]
-        above6 = np.nonzero(vals > 1e-6 * peak)[0]
-        self.radius_cache = float(coarse[above12[-1]]) + coarse[1]
-        # |chi * S| tails scale like |chi|^2, so packet quadratures may stop
-        # where the envelope reaches 1e-6 of the peak.
-        self.tail_radius = float(coarse[above6[-1]]) + coarse[1]
+    @cached_property
+    def _gauss_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        # Gauss-Legendre on [0, 1].  chi_hat is C-infinity, so the rule
+        # converges faster than any power; 384 nodes put the transform within
+        # 1.3e-14 of chi(0) of a 4,097-point Simpson sum.  sigma is 1 on
+        # [0, 1/2], so only the bridge needs the rule.
+        nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_POINTS)
+        return 0.5 * (nodes + 1.0), 0.5 * weights
 
+    @cached_property
+    def _chi_spline(self) -> tuple[np.ndarray, np.ndarray]:
         grid = np.linspace(0.0, self.radius_cache, _CHI_CACHE_POINTS)
-        values = self._chi_exact(grid)
-        self._chi_spline = splines.not_a_knot(grid, values)
+        return splines.not_a_knot(grid, self._chi_exact(grid))
 
     def chi(self, y: np.ndarray) -> np.ndarray:
         """Physical profile, interpolated from the cache (real and even)."""
@@ -158,7 +177,7 @@ class PacketProfile:
         r = self.tail_radius
         dy = 2.0 * r / _Y_POINTS
         self.y = -r + (np.arange(_Y_POINTS) + 0.5) * dy
-        self.chi_y = self.chi(self.y)
+        self.y_weights = self.chi_y * dy
         # Fourier kernel for S(y) = (2*pi)^(-1/2) * integral exp(i*y*eta) g(eta) deta,
         # kept as its cosine and sine over the first half of the eta grid:
         # eta is antisymmetric bit for bit (eta[-1 - n] == -eta[n]), so the
@@ -170,7 +189,6 @@ class PacketProfile:
         self.kernel_cos *= scale
         self.kernel_sin = np.sin(phase, out=phase)
         self.kernel_sin *= scale
-        self.y_weights = self.chi_y * dy
 
 
 @lru_cache(maxsize=8)

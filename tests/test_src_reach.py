@@ -34,6 +34,9 @@ COMMANDS = {
     "recover-self": ("recover", "subtract = self\n"),
     "recover-noise-off": ("recover", "noise = false\n"),
     "noise-stats": ("noise-stats", "scale = 4\n"),
+    # any sharpness but the tabulated default builds its profile by the
+    # compute path
+    "noise-stats-sharpness": ("noise-stats", "scale = 4\nprofile_sharpness = 0.75\n"),
     "variance-plain": (
         "variance-scaling", "grid = 8, 16, 32, 64\ntrials = 1000\n",
     ),

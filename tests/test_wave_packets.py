@@ -1,8 +1,17 @@
+import dataclasses
+import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
-from symrec import wave_packets
+import symrec
+from symrec import default_profile, wave_packets
+from symrec.cli_io import ExperimentConfig
 from symrec.noise_engine import JapaneseBracketWeight
 from symrec.wave_packets import (
     _CHI_SCAN_MAX,
@@ -20,6 +29,13 @@ from reference_quadrature import (
     packet_overlap_decay,
     support_radius_and_chi0,
 )
+import profile_table
+
+
+@pytest.fixture(scope="module")
+def computed_profile():
+    """The default-sharpness profile built by the compute path, not the table."""
+    return profile_table.computed_profile(1.0)
 
 
 def test_bridge_plateaus(profile):
@@ -128,7 +144,8 @@ def _chi_simpson(profile, y):
     return np.sqrt(2.0 / np.pi) * out
 
 
-def test_gauss_legendre_transform_matches_simpson(profile):
+def test_gauss_legendre_transform_matches_simpson(computed_profile):
+    profile = computed_profile
     scan = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
     oracle = _chi_simpson(profile, scan)
     assert np.max(np.abs(profile._chi_exact(scan) - oracle)) < 1e-13 * oracle[0]
@@ -149,16 +166,17 @@ def test_gauss_legendre_transform_matches_simpson(profile):
 
 
 @pytest.mark.parametrize("grid", ["scan", "cache"])
-def test_blocked_chi_table_equals_the_2048_row_product(profile, grid):
+def test_blocked_chi_table_equals_the_2048_row_product(computed_profile, grid):
     # the profile's two grids: the radius scan and the spline cache; the
     # blocked table's dgemv row sums must be those of 2,048-row blocks, bit
     # for bit, since the radii and the cache reach the recovered rows
+    profile = computed_profile
     if grid == "scan":
         y = np.linspace(0.0, _CHI_SCAN_MAX, _CHI_SCAN_POINTS)
     else:
         y = np.linspace(0.0, profile.radius_cache, wave_packets._CHI_CACHE_POINTS)
-    xi = profile._gauss_xi
-    weights = profile._gauss_w * profile.chi_hat(xi)
+    xi, weights = profile._gauss_rule
+    weights = weights * profile.chi_hat(xi)
     want = np.empty(y.shape)
     for i in range(0, y.size, 2048):
         want[i : i + 2048] = np.cos(np.outer(y[i : i + 2048], xi)) @ weights
@@ -167,15 +185,75 @@ def test_blocked_chi_table_equals_the_2048_row_product(profile, grid):
 
 @pytest.mark.parametrize("entries", [2 ** 15, wave_packets.BLOCK_ENTRIES])
 def test_profile_memory_follows_the_block(monkeypatch, traced_peak, entries):
-    # the cosine tables of the radius scan and the cache are formed a block
-    # of rows at a time; beyond six float64 blocks only the tables the
-    # profile keeps (unit grids, Fourier kernel, spline cache) stay
+    # the compute path's cosine tables of the radius scan and the cache are
+    # formed a block of rows at a time; beyond six float64 blocks only the
+    # tables the profile keeps (unit grids, Fourier kernel, spline cache) stay
     monkeypatch.setattr(wave_packets, "BLOCK_ENTRIES", entries)
-    prof = wave_packets.PacketProfile(1.0)
+    prof = profile_table.computed_profile(1.0)
     kept = sum(a.nbytes for a in vars(prof).values() if isinstance(a, np.ndarray))
     kept += sum(a.nbytes for a in prof._chi_spline)
-    peak = traced_peak(wave_packets.PacketProfile, 1.0)
+    peak = traced_peak(profile_table.computed_profile, 1.0)
     assert peak <= 6 * 8 * entries + kept
+
+
+def test_default_profile_table_is_the_compute_path(computed_profile):
+    # every tabulated constant is the compute path's, float.hex for
+    # float.hex; a change to the profile's arithmetic fails here until
+    # tests/profile_table.py regenerates the table
+    profile = wave_packets.PacketProfile(1.0)
+    tabulated = profile_table.constants(profile)
+    computed = profile_table.constants(computed_profile)
+    assert [n for n in computed if tabulated.get(n) != computed[n]] == []
+    # the module is the generator's text, and its sharpness is the library's
+    # and the CLI's default, not a value that picks out one workload
+    assert Path(default_profile.__file__).read_text() == profile_table.source(computed_profile)
+    assert default_profile.SHARPNESS == 1.0
+    for default in (
+        inspect.signature(wave_packets.PacketProfile).parameters["sharpness"].default,
+        inspect.signature(wave_packets.make_profile).parameters["bridge_sharpness"].default,
+        {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}["profile_sharpness"],
+    ):
+        assert default == default_profile.SHARPNESS
+    # and the tabulated profile is the computed one, array for array
+    for name in ("b", "tail_radius", "radius_cache", "eta", "chi_hat_eta", "y", "chi_y",
+                 "kernel_cos", "kernel_sin", "y_weights"):
+        got, want = getattr(profile, name), getattr(computed_profile, name)
+        assert type(got) is type(want), name
+        assert np.array_equal(np.asarray(got).view(np.uint64), np.asarray(want).view(np.uint64)), name
+
+
+def test_default_profile_skips_the_compute_path():
+    # in a fresh interpreter, so that no cached profile or Gauss rule hides
+    # a call
+    code = (
+        "import numpy as np\n"
+        "from symrec import wave_packets\n"
+        "def called(*args):\n"
+        "    raise AssertionError('compute path')\n"
+        "np.polynomial.legendre.leggauss = called\n"
+        "wave_packets.PacketProfile._chi_exact = called\n"
+        "wave_packets.make_profile(1.0)\n"
+    )
+    src = str(Path(symrec.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_other_sharpness_builds_through_the_compute_path(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(
+        np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or leggauss(n)
+    )
+    prof = wave_packets.PacketProfile(0.75)
+    assert calls == [wave_packets._GAUSS_POINTS]
+    assert prof.b != default_profile.B
+    xi = np.linspace(-1.0, 1.0, 400_001)
+    assert abs(np.trapezoid(prof.chi_hat(xi) ** 2, xi) - 1.0) < 1e-8
+    assert "_chi_spline" in vars(prof)
+    assert np.array_equal(prof.chi_y, prof.chi(prof.y))
 
 
 def test_window_geometry(profile):
